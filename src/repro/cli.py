@@ -877,19 +877,19 @@ def main(argv: list[str] | None = None) -> int:
         else:
             from .service import QueryOptions, ResultCache, SearchEngine, WorkerSpec
 
-            engine = SearchEngine(
+            with SearchEngine(
                 _load_index(args.database),
                 workers=1 if args.workers is None else args.workers,
                 spec=WorkerSpec(args.kernel, elements=args.elements),
                 cache=ResultCache(0) if args.no_cache else None,
                 statistics=statistics,
-            )
-            report = engine.search(
-                args.query,
-                QueryOptions(
-                    top=args.top, min_score=args.min_score, retrieve=args.retrieve
-                ),
-            ).report
+            ) as engine:
+                report = engine.search(
+                    args.query,
+                    QueryOptions(
+                        top=args.top, min_score=args.min_score, retrieve=args.retrieve
+                    ),
+                ).report
         print(report.render(max_rows=args.top))
         for hit in report.hits:
             if hit.alignment is not None:
@@ -1000,13 +1000,17 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 server.run_blocking(ready=_announce, reload_signal=reload_signal)
             finally:
+                engine.close()
                 if dump_stop is not None:
                     dump_stop.set()
                     dumper.dump()
             print(f"served {server.served} requests")
             return 0
         server = SearchServer(engine, defaults, dumper=dumper)
-        served = server.serve(sys.stdin, sys.stdout)
+        try:
+            served = server.serve(sys.stdin, sys.stdout)
+        finally:
+            engine.close()
         print(f"served {served} requests")
         return 0
 
@@ -1098,13 +1102,13 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         from .service import QueryOptions
 
-        engine = _build_engine(args)
-        responses = engine.search_batch(
-            [q.sequence for q in queries],
-            QueryOptions(
-                top=args.top, min_score=args.min_score, retrieve=args.retrieve
-            ),
-        )
+        with _build_engine(args) as engine:
+            responses = engine.search_batch(
+                [q.sequence for q in queries],
+                QueryOptions(
+                    top=args.top, min_score=args.min_score, retrieve=args.retrieve
+                ),
+            )
         for record, response in zip(queries, responses):
             print(f"# query {record.identifier or '<unnamed>'}")
             print(response.render(max_rows=args.top, with_metrics=args.metrics))

@@ -8,7 +8,7 @@ coordinates returned per record.  This package turns the one-shot
 * :mod:`~repro.service.index` — persistent sharded database index
   (parse + encode once, content-hash version stamp, per-shard content
   hashes verified on load, save/load);
-* :mod:`~repro.service.pool` — multiprocessing worker pool sweeping
+* :mod:`~repro.service.pool` — long-lived worker processes sweeping
   shards with the phase-1 locate kernel, merged bit-identically to the
   sequential scanner;
 * :mod:`~repro.service.resilience` — fault tolerance: the

@@ -310,7 +310,7 @@ class SearchEngine:
 
     def _locate_for_retrieval(self):
         if self._retrieve_locate is None:
-            self._retrieve_locate = self.spec.make_locate(self.scheme)
+            self._retrieve_locate = self.spec.make_backend(self.scheme).locate
         return self._retrieve_locate
 
     # ------------------------------------------------------------------
@@ -704,6 +704,16 @@ class SearchEngine:
                 "than this engine"
             )
         self.ingest = service
+
+    def close(self) -> None:
+        """Stop the pool's worker processes; a later sweep restarts them."""
+        self.pool.close()
+
+    def __enter__(self) -> "SearchEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def describe(self) -> dict[str, object]:
         """Engine + index + cache summary (the ``stats`` server verb)."""

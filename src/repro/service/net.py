@@ -296,6 +296,7 @@ class TcpSearchServer:
         for writer in list(self._writers):
             writer.close()
         self._exec.shutdown(wait=True)
+        self.engine.close()
         self.obs.log.info("net.stopped", served=self.served)
 
     def run_blocking(self, ready=None, reload_signal: int | None = None) -> None:
@@ -912,6 +913,7 @@ class ServerThread:
                 pass
             self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
+        self.server.engine.close()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -1,4 +1,4 @@
-"""Worker pool mapping index shards across cores.
+"""Long-lived worker processes mapping index shards across cores.
 
 Each task sweeps one :class:`~repro.service.index.Shard` with the
 phase-1 locate kernel — the software row sweep or a simulated
@@ -16,20 +16,29 @@ per-shard top-k can never evict a global top-k member under a total
 order, so the truncation is lossless.  The property test in
 ``tests/test_service_engine.py`` pins this across worker counts.
 
-Workers are plain ``multiprocessing`` processes (fork where available,
-spawn otherwise); a :class:`WorkerSpec` describes how each task builds
-its kernel so accelerator state never needs to cross the process
-boundary.
+Both pools run on :class:`WorkerSet`: long-lived worker processes
+(fork where available, spawn otherwise), like the paper's board that
+is configured once and then has the database streamed past it.  Each
+task carries its shard payload and a :class:`WorkerSpec`, so workers
+keep no state between tasks (hot reloads need no extra handling) and
+accelerator state never crosses the process boundary.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
+import itertools
+import math
 import multiprocessing
 import os
+import signal
+import threading
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from multiprocessing.connection import Connection, wait
+from typing import Sequence
 
 from ..align.scoring import LinearScoring, SubstitutionMatrix
 from ..kernels import KernelBackend, HwSimBackend, available_backends, default_kernel, get_backend
@@ -40,6 +49,7 @@ __all__ = [
     "ShardSweep",
     "WorkerSpec",
     "ShardWorkerPool",
+    "WorkerSet",
     "merge_candidates",
     "shard_task",
 ]
@@ -96,15 +106,10 @@ class WorkerSpec:
         """The kernel backend a worker sweeps with."""
         name = self.resolved_kernel()
         if name == "hw-sim":
-            # A fresh device per worker: accelerator state never
+            # A fresh device per task: accelerator state never
             # crosses the process boundary.
             return HwSimBackend(elements=self.elements, engine=self.engine)
         return get_backend(name)
-
-    def make_locate(
-        self, scheme: LinearScoring | SubstitutionMatrix
-    ) -> Callable[..., object]:
-        return self.make_backend(scheme).locate
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,8 @@ def shard_task(
 ) -> tuple:
     """The picklable argument tuple one shard sweep task carries.
 
-    Shared by the plain pool and the supervised pool so both feed
-    :func:`_sweep_shard` identical work — which is what keeps their
-    healthy-path results byte-for-byte interchangeable.
+    Every sweep path feeds :func:`_sweep_shard` this same tuple, which
+    keeps their healthy-path results byte-for-byte interchangeable.
     """
     return (
         shard.shard_id,
@@ -202,38 +206,214 @@ def merge_candidates(
     return merged
 
 
-class ShardWorkerPool:
-    """Maps shard sweeps over a process pool (or inline for 1 worker).
+def _serve_tasks(conn: Connection) -> None:
+    """A worker's life: receive ``(tag, fn, args)``, reply ``(tag, ok, value)``."""
+    # Signals are meant for the server: the pool stops a worker by
+    # killing it, and an inherited wakeup fd would wake the server's loop.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    gc.freeze()  # inherited objects' finalizers belong to the server
+    while True:
+        try:
+            tag, fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (tag, True, fn(*args))
+        except Exception as exc:  # reported; the worker lives on
+            reply = (tag, False, f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
-    A pool is created per sweep call: the fork/spawn cost is tens of
-    milliseconds, far below the O(m·n) sweep it amortizes against, and
-    it keeps the class free of cross-call process lifecycle.
+
+@dataclass
+class _Worker:
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
+
+    def stop(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+@dataclass
+class _Attempt:
+    shard: object
+    attempt: int
+    tag: tuple[int, int, int]  # (sweep, shard id, attempt)
+    kill_at: float
+
+
+def _stop_workers(workers: list[_Worker | None]) -> None:
+    for slot, worker in enumerate(workers):
+        workers[slot] = None
+        if worker is not None:
+            worker.stop()
+
+
+class WorkerSet:
+    """A fixed set of long-lived sweep workers, the core of both pools.
+
+    Workers start on first use and serve one sweep at a time; a worker
+    that dies or is killed is replaced at its next launch.  They are
+    daemonic, and stop on :meth:`close` or when the set is collected.
     """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._workers: list[_Worker | None] = [None] * size
+        self.lock = threading.RLock()  # held by each run; layers may hold it too
+        self._sweeps = itertools.count()
+        weakref.finalize(self, _stop_workers, self._workers)
+
+    def close(self) -> None:
+        """Stop every worker (the set stays usable)."""
+        _stop_workers(self._workers)
+
+    def _worker(self, slot: int) -> _Worker:
+        worker = self._workers[slot]
+        if worker is None or not worker.process.is_alive():
+            self._kill(slot)  # reaps one that died while idle
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+            conn, child = ctx.Pipe()
+            process = ctx.Process(
+                target=_serve_tasks, args=(child,), daemon=True, name=f"repro-sweep-{slot}"
+            )
+            process.start()
+            child.close()
+            worker = self._workers[slot] = _Worker(process, conn)
+        return worker
+
+    def _kill(self, slot: int) -> int | None:
+        """Stop the worker in ``slot``; its exit code."""
+        worker, self._workers[slot] = self._workers[slot], None
+        if worker is not None:
+            worker.stop()
+            return worker.process.exitcode
+
+    def run(self, shards, launch, settle, deadline=None, timeout: float | None = None) -> None:
+        """Sweep ``shards`` on the workers until every attempt settles.
+
+        ``launch(shard, attempt)`` gives the ``(fn, args)`` a worker runs;
+        ``settle(shard, attempt, status, value)`` gets ``("ok", result)``,
+        ``("error", message)``, ``("died", exit_code)`` or ``("timeout",
+        seconds)`` and returns when to start the next attempt, or ``None``.
+        An attempt is killed after ``timeout`` seconds; an expired
+        ``deadline`` raises, and any exception kills what still runs.  A
+        reply not tagged ``(sweep, shard, attempt)`` of a running attempt
+        is dropped.
+        """
+        pending = [(shard, 0, 0.0) for shard in shards]
+        running: dict[int, _Attempt] = {}
+        with self.lock:
+            sweep = next(self._sweeps)
+            try:
+                while pending or running:
+                    if deadline is not None:
+                        deadline.check("pool sweep")
+                    now = time.monotonic()
+                    idle = [s for s in range(self.size) if s not in running]
+                    waiting = []
+                    for shard, attempt, ready_at in pending:
+                        if idle and ready_at <= now:
+                            slot = idle.pop(0)
+                            running[slot] = self._start(
+                                slot, sweep, shard, attempt, launch, deadline, timeout
+                            )
+                        else:
+                            waiting.append((shard, attempt, ready_at))
+                    pending = waiting
+                    wake = [run.kill_at for run in running.values()]
+                    if idle:
+                        wake += [ready_at for _, _, ready_at in pending]
+                    if deadline is not None:
+                        wake.append(deadline.expires_at)
+                    delay = max(min(wake, default=math.inf) - time.monotonic(), 0.0)
+                    busy = [w for w in map(self._workers.__getitem__, running) if w]
+                    wait(
+                        [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                        None if math.isinf(delay) else delay,
+                    )
+                    if deadline is not None:  # outranks the kill timers it capped
+                        deadline.check("pool sweep")
+                    for slot, run in list(running.items()):
+                        result = self._resolve(slot, run, timeout)
+                        if result is not None:
+                            del running[slot]
+                            ready_at = settle(run.shard, run.attempt, *result)
+                            if ready_at is not None:
+                                pending.append((run.shard, run.attempt + 1, ready_at))
+            finally:
+                for slot in running:
+                    self._kill(slot)
+
+    def _start(self, slot, sweep, shard, attempt, launch, deadline, timeout) -> _Attempt:
+        fn, args = launch(shard, attempt)
+        tag = (sweep, shard.shard_id, attempt)
+        try:
+            self._worker(slot).conn.send((tag, fn, args))
+        except OSError:
+            pass  # the worker just died; its sentinel reports it
+        kill_at = time.monotonic() + (math.inf if timeout is None else timeout)
+        if deadline is not None:
+            kill_at = min(kill_at, deadline.expires_at)
+        return _Attempt(shard, attempt, tag, kill_at)
+
+    def _resolve(self, slot: int, run: _Attempt, timeout) -> tuple[str, object] | None:
+        """The attempt's outcome, or ``None`` while it is still running."""
+        worker = self._workers[slot]
+        if worker is None:  # stopped by a concurrent close()
+            return ("died", None)
+        alive = worker.process.is_alive()  # read after this: a last reply counts
+        try:
+            if worker.conn.poll():
+                tag, ok, value = worker.conn.recv()
+                if tag != run.tag:
+                    return None  # a reply to an attempt already given up on
+                return ("ok", value) if ok else ("error", value)
+        except (EOFError, OSError):
+            pass  # the pipe closed under a dying worker
+        if not alive:
+            return ("died", self._kill(slot))
+        if time.monotonic() >= run.kill_at:
+            self._kill(slot)
+            return ("timeout", timeout)
+        return None
+
+
+class _WorkerPool:
+    """What both pools share: a :class:`WorkerSet` and its lifecycle."""
 
     def __init__(self, workers: int = 1, spec: WorkerSpec | None = None) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.workers = workers
         self.spec = spec if spec is not None else WorkerSpec()
+        self._set = WorkerSet(workers)
 
-    @property
-    def healthy(self) -> bool:
-        """The plain pool has no supervision; it is always "healthy".
+    def close(self) -> None:
+        """Stop the pool's workers; a later sweep starts fresh ones."""
+        self._set.close()
 
-        (A worker crash aborts the sweep with the raw multiprocessing
-        error — use :class:`~repro.service.resilience.SupervisedWorkerPool`
-        when that is not acceptable.)
-        """
-        return True
+    def __enter__(self):
+        return self
 
-    @property
-    def quarantined(self) -> tuple[int, ...]:
-        return ()
+    def __exit__(self, *exc) -> None:
+        self.close()
 
-    @staticmethod
-    def _context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+class ShardWorkerPool(_WorkerPool):
+    """Maps shard sweeps over long-lived workers (or inline for 1 worker).
+
+    No supervision: a failed shard raises
+    :class:`~repro.service.resilience.ShardFailure`.
+    """
+
+    #: No supervision: always healthy, nothing quarantined.
+    healthy = True
+    quarantined: tuple[int, ...] = ()
 
     def sweep(
         self,
@@ -247,40 +427,38 @@ class ShardWorkerPool:
     ) -> list[ShardSweep]:
         """Sweep every active shard for every query; per-shard results.
 
-        Shards the index has quarantined at load time (see
-        ``DatabaseIndex.load(..., on_corrupt="quarantine")``) are
-        excluded here exactly as the supervised pool excludes them.
-
-        ``deadline`` (a :class:`~repro.service.resilience.Deadline`) is
-        enforced at shard granularity: checked before each inline shard
-        sweep, and once more after a parallel map — the plain pool has
-        no supervision to kill a worker mid-shard, so a deadline below
-        sweep time surfaces as soon as the kernel yields control.
-
-        ``spec`` overrides the pool's own kernel spec for this sweep
-        only — the engine passes it when a request's
-        ``QueryOptions.kernel`` names a different backend.
+        Shards the index quarantined at load time are excluded, exactly
+        as the supervised pool excludes them.  ``deadline`` (a
+        :class:`~repro.service.resilience.Deadline`) is checked before
+        each inline shard sweep; on the workers it kills whatever is
+        still running once the budget is gone.  ``spec`` overrides the
+        pool's kernel spec for this sweep only (a request-level
+        ``QueryOptions.kernel``).
         """
         spec = spec if spec is not None else self.spec
-        tasks = [
-            shard_task(shard, queries, scheme, spec, min_score, k)
-            for shard in index.active_shards
-        ]
-        if self.workers == 1 or len(tasks) <= 1:
-            sweeps = []
-            for task in tasks:
+        shards = index.active_shards
+        sweeps = []
+        if self.workers == 1 or len(shards) <= 1:
+            for shard in shards:
                 if deadline is not None:
                     deadline.check("shard sweep")
-                sweeps.append(_sweep_shard(task))
+                sweeps.append(
+                    _sweep_shard(shard_task(shard, queries, scheme, spec, min_score, k))
+                )
             return sweeps
-        if deadline is not None:
-            deadline.check("batch sweep")
-        n_procs = min(self.workers, len(tasks))
-        with self._context().Pool(processes=n_procs) as pool:
-            sweeps = pool.map(_sweep_shard, tasks, chunksize=1)
-        if deadline is not None:
-            deadline.check("batch sweep")
-        return sweeps
+
+        def launch(shard, attempt):
+            return _sweep_shard, (shard_task(shard, queries, scheme, spec, min_score, k),)
+
+        def settle(shard, attempt, status, value):
+            if status != "ok":
+                from .resilience import ShardFailure
+
+                raise ShardFailure(shard.shard_id, f"worker {status}: {value}")
+            sweeps.append(value)
+
+        self._set.run(shards, launch, settle, deadline)
+        return sorted(sweeps, key=lambda s: s.shard_id)
 
     @staticmethod
     def busy_seconds(sweeps: Sequence[ShardSweep]) -> dict[str, float]:

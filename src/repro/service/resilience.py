@@ -22,10 +22,10 @@ here:
   that crosses the process boundary (the paper's "few bytes" wire
   format is cheap to audit exhaustively);
 * a :class:`SupervisedWorkerPool` — the fault-aware counterpart of
-  :class:`~repro.service.pool.ShardWorkerPool`: one subprocess per
-  shard attempt, worker-death detection, per-task timeouts, retries
-  under the policy, and shard-level **quarantine** for sweeps that
-  fail repeatedly.
+  :class:`~repro.service.pool.ShardWorkerPool` on the same long-lived
+  workers: worker-death detection, per-task timeouts, retries under
+  the policy, and shard-level **quarantine** for sweeps that fail
+  repeatedly.
 
 The healthy path preserves PR 1's contract: a supervised sweep with no
 faults returns exactly the per-shard candidates the plain pool
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import math
-import multiprocessing
 import os
 import random
 import time
@@ -48,7 +46,7 @@ from typing import Iterable, Sequence
 
 from ..align.scoring import LinearScoring, SubstitutionMatrix
 from ..obs import NULL_OBS, Observability
-from .pool import ShardSweep, WorkerSpec, _sweep_shard, shard_task
+from .pool import ShardSweep, WorkerSpec, _WorkerPool, _sweep_shard, shard_task
 
 __all__ = [
     "ServiceError",
@@ -752,30 +750,16 @@ def _corrupt_sweep(sweep: ShardSweep) -> ShardSweep:
     return dataclasses.replace(sweep, candidates=bad, records=sweep.records + 1)
 
 
-def _supervised_entry(task: tuple, fault: Fault | None, result_queue) -> None:
-    """Worker-process entry: apply any scripted fault, sweep, report.
-
-    Every outcome crosses back as a picklable ``("ok", sweep)`` or
-    ``("error", message)`` pair; a crash fault (or a real segfault)
-    reports nothing, which the supervisor reads from the exit code.
-    """
-    try:
-        if fault is not None:
-            if fault.kind == "crash":
-                os._exit(13)
-            if fault.kind == "hang":
-                time.sleep(fault.seconds)
-            elif fault.kind == "error":
-                raise RuntimeError("injected worker error")
-        sweep = _sweep_shard(task)
-        if fault is not None and fault.kind == "corrupt":
-            sweep = _corrupt_sweep(sweep)
-        result_queue.put(("ok", sweep))
-    except BaseException as exc:  # noqa: BLE001 - must never escape the worker
-        try:
-            result_queue.put(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            os._exit(1)
+def _faulty_sweep(task: tuple, fault: Fault) -> ShardSweep:
+    """The sweep with a scripted fault applied (runs inside the worker)."""
+    if fault.kind == "crash":
+        os._exit(13)
+    if fault.kind == "hang":
+        time.sleep(fault.seconds)
+    elif fault.kind == "error":
+        raise RuntimeError("injected worker error")
+    sweep = _sweep_shard(task)
+    return _corrupt_sweep(sweep) if fault.kind == "corrupt" else sweep
 
 
 @dataclass
@@ -810,36 +794,25 @@ class SweepOutcome:
         return not self.failed
 
 
-@dataclass
-class _Running:
-    shard: object
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    queue: object
-    deadline: float
-
-
-class SupervisedWorkerPool:
+class SupervisedWorkerPool(_WorkerPool):
     """Fault-aware shard sweeps: supervision, retries, quarantine.
 
-    Unlike :class:`~repro.service.pool.ShardWorkerPool`, every shard
-    attempt runs in its **own** subprocess (fork where available), so
-    a crash or hang is contained to one attempt: the supervisor
-    detects death via the exit code, enforces ``task_timeout`` by
-    killing the process, and reschedules the shard under ``policy``'s
-    backoff.  A shard whose attempts exhaust the policy is recorded in
-    the outcome's ``failed`` map; after ``quarantine_after`` such
-    exhaustions it is quarantined and excluded from future sweeps
-    until :meth:`heal`.
+    The long-lived workers of :class:`~repro.service.pool.WorkerSet`,
+    supervised: a worker's death is read from its sentinel and exit
+    code, ``task_timeout`` is enforced by killing it, and either way
+    the shard is rescheduled under ``policy``'s backoff while the worker
+    is replaced at its next launch.  A shard whose attempts exhaust the
+    policy is recorded in the outcome's ``failed`` map; after
+    ``quarantine_after`` such exhaustions it is quarantined and excluded
+    from future sweeps until :meth:`heal`.
 
     ``fault_plan`` scripts deterministic failures for tests and
-    benchmarks; ``None`` (the default) injects nothing.
+    benchmarks, applied inside the worker; ``None`` injects nothing.
 
-    ``obs`` is the observability bundle (metrics + tracer + logger);
-    retries, quarantines, timeouts and worker deaths — previously
-    silent counter bumps — become counters, trace events on the open
-    ``pool.sweep`` span, and structured log lines.  An engine with a
-    live bundle rebinds a pool constructed without one.
+    ``obs`` is the observability bundle: retries, quarantines, timeouts
+    and worker deaths become counters, trace events on the open
+    ``pool.sweep`` span, and log lines.  An engine with a live bundle
+    rebinds a pool constructed without one.
     """
 
     def __init__(
@@ -850,22 +823,17 @@ class SupervisedWorkerPool:
         task_timeout: float | None = None,
         quarantine_after: int = 1,
         fault_plan: FaultPlan | None = None,
-        poll_interval: float = 0.005,
         obs: Observability | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
+        super().__init__(workers, spec)
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         if quarantine_after < 1:
             raise ValueError(f"quarantine_after must be positive, got {quarantine_after}")
-        self.workers = workers
-        self.spec = spec if spec is not None else WorkerSpec()
         self.policy = policy if policy is not None else RetryPolicy()
         self.task_timeout = task_timeout
         self.quarantine_after = quarantine_after
         self.fault_plan = fault_plan
-        self.poll_interval = poll_interval
         self.health: dict[int, ShardHealth] = {}
         self.sweeps_run = 0
         self.attempts_total = 0
@@ -914,11 +882,6 @@ class SupervisedWorkerPool:
             self.health.pop(shard_id, None)
         self._healthy = True
 
-    @staticmethod
-    def _context() -> multiprocessing.context.BaseContext:
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     # ------------------------------------------------------------------
     def sweep(
         self,
@@ -932,260 +895,115 @@ class SupervisedWorkerPool:
     ) -> SweepOutcome:
         """Sweep every non-quarantined shard under supervision.
 
-        ``deadline``, when given, bounds the *whole* sweep: every
-        attempt's kill-timer is ``min(task_timeout, remaining budget)``
-        — a retry never gets a fresh static allowance — and once the
-        budget is gone the supervisor kills everything still running
-        and raises :class:`DeadlineExceeded` instead of limping on.
-
-        ``spec`` overrides the pool's kernel spec for this sweep only
-        (a request-level ``QueryOptions.kernel`` selection).
+        ``deadline`` bounds the *whole* sweep: each attempt may run
+        ``min(task_timeout, remaining budget)``, and once the budget is
+        gone everything still running is killed and
+        :class:`DeadlineExceeded` raised.  ``spec`` overrides the pool's
+        kernel spec for this sweep only (``QueryOptions.kernel``).
         """
         queries = tuple(queries)
         spec = spec if spec is not None else self.spec
         outcome = SweepOutcome()
-        runnable = []
-        for shard in index.active_shards:
-            health = self.health.get(shard.shard_id)
-            if health is not None and health.quarantined:
-                outcome.failed[shard.shard_id] = ShardFailure(
-                    shard.shard_id, f"quarantined: {health.last_error}"
-                )
-            else:
-                runnable.append(shard)
 
-        ctx = self._context()
-        pending: list[tuple[object, int, float]] = [(s, 0, 0.0) for s in runnable]
-        running: list[_Running] = []
-        while pending or running:
-            if deadline is not None and deadline.expired:
-                self._abort_running(running)
+        def launch(shard, attempt):
+            outcome.attempts += 1
+            self._m_attempts.inc()
+            task = shard_task(shard, queries, scheme, spec, min_score, k)
+            plan = self.fault_plan
+            fault = plan.fault_for(shard.shard_id, attempt) if plan is not None else None
+            return (_sweep_shard, (task,)) if fault is None else (_faulty_sweep, (task, fault))
+
+        def settle(shard, attempt, status, value):
+            sid = shard.shard_id
+            if status == "ok":
+                try:
+                    validate_sweep(value, shard, len(queries), min_score, k)
+                    outcome.sweeps.append(value)
+                    return None
+                except ShardFailure as exc:
+                    error = exc
+            elif status == "error":
+                error = ShardFailure(sid, f"worker raised: {value}")
+            elif status == "died":
+                outcome.worker_deaths += 1
+                self._report(self._m_deaths, "worker-death", shard=sid, exit_code=value)
+                error = ShardFailure(sid, f"worker died (exit code {value})")
+            else:
+                outcome.timeouts += 1
+                self._report(self._m_timeouts, "worker-timeout", shard=sid, seconds=value)
+                error = WorkerTimeout(sid, value)
+            return self._record_failure(sid, attempt, error, outcome, deadline)
+
+        with self._set.lock:  # one sweep's bookkeeping at a time
+            runnable = []
+            for shard in index.active_shards:
+                health = self.health.get(shard.shard_id)
+                if health is not None and health.quarantined:
+                    outcome.failed[shard.shard_id] = ShardFailure(
+                        shard.shard_id, f"quarantined: {health.last_error}"
+                    )
+                else:
+                    runnable.append(shard)
+            try:
+                self._set.run(runnable, launch, settle, deadline, self.task_timeout)
+            except DeadlineExceeded:
+                self.obs.log.warning("pool.deadline-exceeded", shards=len(runnable))
+                raise
+            finally:
                 self.sweeps_run += 1
                 self.attempts_total += outcome.attempts
                 self.retries_total += outcome.retries
                 self.timeouts_total += outcome.timeouts
                 self.worker_deaths_total += outcome.worker_deaths
-                self.obs.log.warning(
-                    "pool.deadline-exceeded",
-                    running=len(running),
-                    pending=len(pending),
+            outcome.sweeps.sort(key=lambda s: s.shard_id)
+            if runnable and not outcome.sweeps:
+                self._healthy = False
+                self.obs.log.error(
+                    "pool.unhealthy", shards=len(runnable), attempts=outcome.attempts
                 )
-                deadline.check("pool sweep")
-            now = time.monotonic()
-            waiting = []
-            for shard, attempt, ready_at in pending:
-                if len(running) < self.workers and ready_at <= now:
-                    running.append(
-                        self._launch(
-                            ctx,
-                            shard,
-                            attempt,
-                            queries,
-                            scheme,
-                            min_score,
-                            k,
-                            deadline,
-                            spec,
-                        )
-                    )
-                    outcome.attempts += 1
-                    self._m_attempts.inc()
-                else:
-                    waiting.append((shard, attempt, ready_at))
-            pending = waiting
-
-            progressed = False
-            for run in list(running):
-                resolution = self._poll(run, queries, min_score, k, outcome)
-                if resolution is None:
-                    continue
-                running.remove(run)
-                progressed = True
-                kind, payload = resolution
-                if kind == "ok":
-                    outcome.sweeps.append(payload)
-                    continue
-                self._record_failure(run, payload, pending, outcome, deadline)
-            if not progressed and (running or pending):
-                time.sleep(self.poll_interval)
-
-        outcome.sweeps.sort(key=lambda s: s.shard_id)
-        self.sweeps_run += 1
-        self.attempts_total += outcome.attempts
-        self.retries_total += outcome.retries
-        self.timeouts_total += outcome.timeouts
-        self.worker_deaths_total += outcome.worker_deaths
-        if runnable and not outcome.sweeps:
-            self._healthy = False
-            self.obs.log.error(
-                "pool.unhealthy",
-                shards=len(runnable),
-                attempts=outcome.attempts,
-            )
-        return outcome
+            return outcome
 
     # ------------------------------------------------------------------
-    def _abort_running(self, running: list["_Running"]) -> None:
-        """Kill every in-flight attempt (the sweep's budget is gone)."""
-        for run in running:
-            try:
-                run.process.kill()
-                run.process.join()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-            self._close(run)
-        running.clear()
-
-    def _attempt_timeout(self, deadline: Deadline | None) -> float:
-        """This attempt's kill-timer: static bound capped by the budget.
-
-        The pre-deadline behaviour gave every retry the full
-        ``task_timeout`` again (worst case ``retries x timeout``); with
-        a request deadline in hand each attempt only ever gets what is
-        left of the budget.
-        """
-        static = self.task_timeout if self.task_timeout is not None else math.inf
-        if deadline is None:
-            return static
-        return min(static, max(deadline.remaining(), 0.0))
-
-    def _launch(
-        self, ctx, shard, attempt, queries, scheme, min_score, k, deadline=None, spec=None
-    ) -> _Running:
-        fault = (
-            self.fault_plan.fault_for(shard.shard_id, attempt)
-            if self.fault_plan is not None
-            else None
-        )
-        task = shard_task(
-            shard, queries, scheme, spec if spec is not None else self.spec, min_score, k
-        )
-        result_queue = ctx.SimpleQueue()
-        process = ctx.Process(
-            target=_supervised_entry, args=(task, fault, result_queue), daemon=True
-        )
-        process.start()
-        limit = self._attempt_timeout(deadline)
-        kill_at = time.monotonic() + limit if math.isfinite(limit) else math.inf
-        return _Running(shard, attempt, process, result_queue, kill_at)
-
-    def _poll(
-        self, run: _Running, queries, min_score: int, k: int, outcome: SweepOutcome
-    ) -> tuple[str, object] | None:
-        """Resolve one running attempt, or ``None`` if still in flight."""
-        sid = run.shard.shard_id
-        if not run.queue.empty():
-            status, payload = run.queue.get()
-            run.process.join()
-            self._close(run)
-            if status != "ok":
-                return ("fail", ShardFailure(sid, f"worker raised: {payload}"))
-            try:
-                validate_sweep(payload, run.shard, len(queries), min_score, k)
-            except ShardFailure as exc:
-                return ("fail", exc)
-            return ("ok", payload)
-        if run.process.exitcode is not None:
-            # Dead without a result: grant the pipe one grace read in
-            # case the payload landed between the two checks.
-            time.sleep(0.01)
-            if not run.queue.empty():
-                return self._poll(run, queries, min_score, k, outcome)
-            outcome.worker_deaths += 1
-            self._m_deaths.inc()
-            self.obs.tracer.event(
-                "worker-death", shard=sid, exit_code=run.process.exitcode
-            )
-            self.obs.log.warning(
-                "pool.worker-death",
-                shard=sid,
-                attempt=run.attempt,
-                exit_code=run.process.exitcode,
-            )
-            self._close(run)
-            return (
-                "fail",
-                ShardFailure(sid, f"worker died (exit code {run.process.exitcode})"),
-            )
-        if time.monotonic() > run.deadline:
-            outcome.timeouts += 1
-            self._m_timeouts.inc()
-            self.obs.tracer.event(
-                "worker-timeout", shard=sid, seconds=self.task_timeout
-            )
-            self.obs.log.warning(
-                "pool.worker-timeout",
-                shard=sid,
-                attempt=run.attempt,
-                seconds=self.task_timeout,
-            )
-            run.process.kill()
-            run.process.join()
-            self._close(run)
-            return ("fail", WorkerTimeout(sid, float(self.task_timeout)))
-        return None
-
-    @staticmethod
-    def _close(run: _Running) -> None:
-        try:
-            run.queue.close()
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
+    def _report(self, counter, event: str, level: str = "warning", **fields) -> None:
+        """One supervision event: counter, trace event and log line."""
+        counter.inc()
+        self.obs.tracer.event(event, **fields)
+        getattr(self.obs.log, level)(f"pool.{event}", **fields)
 
     def _record_failure(
-        self,
-        run: _Running,
-        error: ServiceError,
-        pending: list[tuple[object, int, float]],
-        outcome: SweepOutcome,
-        deadline: Deadline | None = None,
-    ) -> None:
-        sid = run.shard.shard_id
+        self, sid: int, attempt: int, error: ServiceError, outcome: SweepOutcome, deadline
+    ) -> float | None:
+        """Book a failed attempt; the retry's start time, if one follows."""
         health = self.health.setdefault(sid, ShardHealth())
         health.failures += 1
         health.last_error = str(error)
-        retry_fits = True
-        if run.attempt < self.policy.retries and deadline is not None:
+        if attempt < self.policy.retries:
+            delay = self.policy.delay(attempt, token=sid)
             # A retry whose backoff alone outlives the budget can never
             # complete; spend the remaining time on failing cleanly.
-            retry_fits = self.policy.delay(run.attempt, token=sid) < deadline.remaining()
-            if not retry_fits:
-                self.obs.log.warning(
-                    "pool.retry-skipped", shard=sid, reason="deadline budget exhausted"
+            if deadline is None or delay < deadline.remaining():
+                outcome.retries += 1
+                self._report(
+                    self._m_retries, "retry", shard=sid, attempt=attempt,
+                    delay_s=round(delay, 4), error=str(error),
                 )
-        if run.attempt < self.policy.retries and retry_fits:
-            outcome.retries += 1
-            self._m_retries.inc()
-            delay = self.policy.delay(run.attempt, token=sid)
-            self.obs.tracer.event(
-                "retry", shard=sid, attempt=run.attempt, delay_s=round(delay, 4)
-            )
+                return time.monotonic() + delay
             self.obs.log.warning(
-                "pool.retry",
-                shard=sid,
-                attempt=run.attempt,
-                delay_s=round(delay, 4),
-                error=str(error),
+                "pool.retry-skipped", shard=sid, reason="deadline budget exhausted"
             )
-            ready_at = time.monotonic() + delay
-            pending.append((run.shard, run.attempt + 1, ready_at))
-            return
         health.exhaustions += 1
         if health.exhaustions >= self.quarantine_after:
             health.quarantined = True
-            self._m_quarantines.inc()
-            self.obs.tracer.event("quarantine", shard=sid)
-            self.obs.log.error(
-                "pool.quarantine",
-                shard=sid,
-                failures=health.failures,
-                error=str(error),
+            self._report(
+                self._m_quarantines, "quarantine", "error", shard=sid,
+                failures=health.failures, error=str(error),
             )
         else:
             self.obs.log.error(
-                "pool.shard-exhausted", shard=sid, attempt=run.attempt, error=str(error)
+                "pool.shard-exhausted", shard=sid, attempt=attempt, error=str(error)
             )
         outcome.failed[sid] = error
+        return None
 
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, object]:

@@ -8,31 +8,47 @@ engine completes via fallback — all with zero uncaught exceptions
 reaching ``SearchServer.serve``.
 """
 
+import dataclasses
+import gc
 import io
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.align.scoring import DEFAULT_DNA
 from repro.io.fasta import FastaRecord
 from repro.io.generate import mutate, random_dna
+from repro.kernels import _FACTORIES, _INSTANCES, KernelBackend, get_backend, register_backend
 from repro.scan import scan_database
 from repro.service import (
     DatabaseIndex,
     Fault,
     FaultPlan,
     IndexCorrupt,
+    IndexManager,
+    QueryOptions,
     ResultCache,
     RetryPolicy,
     SearchEngine,
     SearchServer,
     ServiceError,
     ShardFailure,
+    ShardWorkerPool,
     SupervisedWorkerPool,
     WorkerSpec,
     WorkerTimeout,
     corrupt_index_file,
     validate_sweep,
 )
+from repro.service.client import SearchClient
+from repro.service.net import ServerThread
+from repro.service.pool import _sweep_shard, shard_task
 
 #: Fast backoff for tests — real delays, deterministic, but tiny.
 FAST = RetryPolicy(retries=2, base_delay=0.005, max_delay=0.02, jitter=0.5, seed=7)
@@ -466,3 +482,233 @@ class TestCLIResilience:
         assert "rec5" in out
         assert "pool: healthy" in out
         assert "served 1 requests" in out
+
+
+# ----------------------------------------------------------------------
+# Long-lived workers: reuse, respawn, lifecycle
+# ----------------------------------------------------------------------
+def _stall_on_shard_one(args):
+    """A shard sweep that never finishes for shard 1 (runs in the worker)."""
+    if args[0] == 1:
+        time.sleep(60)
+    return _sweep_shard(args)
+
+
+def _run_with_hard_timeout(fn, seconds):
+    """``fn()``'s result or exception; fails if it takes over ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"sweep still running after {seconds}s"
+    return box
+
+
+def _labels(sweeps):
+    return {sweep.worker for sweep in sweeps}
+
+
+class _OffsetBackend(KernelBackend):
+    """Reference hits with scores raised by 1000, so its sweeps stand out."""
+
+    name = "test-offset"
+
+    def locate(self, s, t, scheme=DEFAULT_DNA):
+        hit = get_backend("reference").locate(s, t, scheme)
+        return dataclasses.replace(hit, score=hit.score + 1000)
+
+
+class TestLongLivedWorkers:
+    def test_plain_pool_worker_sigkill_raises_shard_failure(self, planted, monkeypatch):
+        from repro.service import pool as pool_module
+
+        query, _, index, _ = planted
+        monkeypatch.setattr(pool_module, "_sweep_shard", _stall_on_shard_one)
+        pool = ShardWorkerPool(workers=2)
+
+        def kill_busy_workers():
+            time.sleep(1.0)  # shards 0, 2 and 3 finish; shard 1 stalls
+            for worker in pool._set._workers:
+                if worker is not None:
+                    os.kill(worker.process.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_busy_workers, daemon=True)
+        killer.start()
+        box = _run_with_hard_timeout(
+            lambda: pool.sweep(index, [query], DEFAULT_DNA, 1, 10), 20
+        )
+        killer.join()
+        assert isinstance(box.get("error"), ShardFailure)
+        assert box["error"].shard_id == 1
+        pool.close()
+
+    def test_plain_pool_deadline_kills_work_in_flight(self, planted, monkeypatch):
+        from repro.service import DeadlineExceeded
+        from repro.service import pool as pool_module
+        from repro.service.resilience import Deadline
+
+        query, _, index, _ = planted
+        monkeypatch.setattr(pool_module, "_sweep_shard", _stall_on_shard_one)
+        with ShardWorkerPool(workers=2) as pool:
+            box = _run_with_hard_timeout(
+                lambda: pool.sweep(
+                    index, [query], DEFAULT_DNA, 1, 10, deadline=Deadline.after(0.5)
+                ),
+                20,
+            )
+            assert isinstance(box.get("error"), DeadlineExceeded)
+            live = [w for w in pool._set._workers if w is not None]
+            assert len(live) < pool.workers  # the stalled worker was killed
+
+    def test_worker_is_reused_across_healthy_sweeps(self, planted):
+        query, _, index, _ = planted
+        with SupervisedWorkerPool(workers=1, policy=FAST) as pool:
+            labels = [
+                _labels(pool.sweep(index, [query], DEFAULT_DNA, 1, 10).sweeps)
+                for _ in range(3)
+            ]
+        assert len(labels[0]) == 1
+        assert labels == [labels[0]] * 3
+
+    def test_crash_retry_runs_on_new_worker_bit_identical(self, planted):
+        query, records, index, base = planted
+        with SupervisedWorkerPool(workers=1, policy=FAST) as pool:
+            (first,) = _labels(pool.sweep(index, [query], DEFAULT_DNA, 1, 10).sweeps)
+            pool.fault_plan = FaultPlan.crash_on(1, times=1)
+            outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+            assert outcome.complete and outcome.worker_deaths == 1
+            by_shard = {s.shard_id: s.worker for s in outcome.sweeps}
+            assert by_shard[0] == first  # before the crash: the old worker
+            assert by_shard[1] != first  # the retry: a fresh process
+            engine = SearchEngine(index, pool=pool, cache=ResultCache(0))
+            response = engine.search(query)
+        assert pool.worker_deaths_total == 2
+        assert ranking(response.report.hits) == ranking(base.hits)
+
+    def test_hung_worker_killed_then_replacement_serves(self, planted):
+        query, _, index, _ = planted
+        with SupervisedWorkerPool(
+            workers=1,
+            policy=RetryPolicy(retries=0),
+            task_timeout=0.3,
+            fault_plan=FaultPlan.hang_on(0, seconds=30.0, times=None),
+        ) as pool:
+            started = time.monotonic()
+            hung = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+            assert time.monotonic() - started < 10
+            assert hung.timeouts == 1
+            assert isinstance(hung.failed[0], WorkerTimeout)
+            pool.fault_plan = None
+            pool.heal()
+            healed = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert healed.complete
+        assert len(healed.sweeps) == index.shard_count
+        assert _labels(healed.sweeps) == _labels(hung.sweeps)  # the replacement
+
+    def test_reload_between_sweeps_bit_identical(self, planted):
+        query, records, index, base = planted
+        extra = FastaRecord("late", mutate(query, rate=0.02, seed=991))
+        generations = iter([records + [extra]])
+
+        def loader():
+            return DatabaseIndex.build(next(generations), shards=3)
+
+        manager = IndexManager(index=index, loader=loader)
+        pool = SupervisedWorkerPool(workers=2, policy=FAST)
+        with SearchEngine(manager, pool=pool, cache=ResultCache(0)) as engine:
+            before = engine.search(query)
+            workers = _labels(pool.sweep(index, [query], DEFAULT_DNA, 1, 10).sweeps)
+            manager.reload()
+            after = engine.search(query)
+            again = pool.sweep(engine.index, [query], DEFAULT_DNA, 1, 10)
+        assert ranking(before.report.hits) == ranking(base.hits)
+        expected = scan_database(query, records + [extra], retrieve=0)
+        assert ranking(after.report.hits) == ranking(expected.hits)
+        assert _labels(again.sweeps) <= workers  # same workers, new generation
+
+    def test_kernel_override_leaves_no_state_on_worker(self, planted):
+        query, _, index, base = planted
+        register_backend("test-offset", _OffsetBackend)
+        try:
+            pool = SupervisedWorkerPool(workers=1, policy=FAST)
+            with SearchEngine(index, pool=pool, cache=ResultCache(0)) as engine:
+                before = engine.search(query)
+                offset = engine.search(query, QueryOptions(kernel="test-offset"))
+                after = engine.search(query)
+        finally:
+            _FACTORIES.pop("test-offset", None)
+            _INSTANCES.pop("test-offset", None)
+        assert offset.report.hits[0].hit.score == base.hits[0].hit.score + 1000
+        assert ranking(before.report.hits) == ranking(base.hits)
+        assert ranking(after.report.hits) == ranking(base.hits)
+        workers = [dict(r.metrics.worker_busy) for r in (before, offset, after)]
+        assert len(workers[0]) == 1
+        assert workers[0].keys() == workers[1].keys() == workers[2].keys()
+
+    def test_late_result_from_abandoned_attempt_never_accepted(self, planted):
+        from repro.service.resilience import _corrupt_sweep
+
+        query, _, index, _ = planted
+        task = shard_task(index.shards[0], (query,), DEFAULT_DNA, WorkerSpec(), 1, 10)
+        with SupervisedWorkerPool(workers=1, policy=RetryPolicy(retries=0)) as pool:
+            # A reply queued for an attempt nobody waits on any more: a
+            # corrupt sweep of shard 0, tagged with an earlier sweep.
+            worker = pool._set._worker(0)
+            worker.conn.send(((-1, 0, 0), _corrupt_sweep, (_sweep_shard(task),)))
+            outcome = pool.sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert outcome.complete and outcome.attempts == index.shard_count
+        assert pool.health == {}  # the stale corrupt reply was never judged
+        inline = ShardWorkerPool(workers=1).sweep(index, [query], DEFAULT_DNA, 1, 10)
+        assert [s.candidates for s in outcome.sweeps] == [s.candidates for s in inline]
+
+    def test_concurrent_sweeps_lose_no_bookkeeping(self, planted):
+        query, _, index, _ = planted
+        inline = ShardWorkerPool(workers=1).sweep(index, [query], DEFAULT_DNA, 1, 10)
+        pool = SupervisedWorkerPool(
+            workers=3, policy=FAST, fault_plan=FaultPlan.crash_on(1, times=1)
+        )
+        threads, sweeps_each, results = 4, 3, []
+
+        def hammer():
+            for _ in range(sweeps_each):
+                results.append(pool.sweep(index, [query], DEFAULT_DNA, 1, 10))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not any(thread.is_alive() for thread in workers)
+        n = threads * sweeps_each
+        assert len(results) == n
+        assert all(
+            [s.candidates for s in r.sweeps] == [s.candidates for s in inline]
+            for r in results
+        )
+        assert pool.sweeps_run == n
+        assert pool.worker_deaths_total == pool.retries_total == n
+        assert pool.attempts_total == n * (index.shard_count + 1)
+
+    def test_server_thread_exit_leaves_no_children(self, planted):
+        gc.collect()
+        query, _, index, _ = planted
+        pool = SupervisedWorkerPool(workers=2, policy=FAST)
+        engine = SearchEngine(index, pool=pool, cache=ResultCache(0))
+        with ServerThread(engine) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert client.search(query).coverage == 1.0
+            assert len(multiprocessing.active_children()) >= 1
+        assert multiprocessing.active_children() == []
