@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from math import exp, log, pi, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..align.scoring import DNA_ALPHABET, LinearScoring, SubstitutionMatrix, encode
 from ..align.smith_waterman import sw_score
@@ -54,6 +53,7 @@ def karlin_lambda(
     negative expected pair score and a positive maximum (the classic
     admissibility conditions); raises ``ValueError`` otherwise.
     """
+    from scipy.optimize import brentq  # only E-value statistics need scipy
     if frequencies is None:
         frequencies = {ch: 1.0 / len(alphabet) for ch in alphabet}
     total = sum(frequencies.values())

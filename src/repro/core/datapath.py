@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 __all__ = [
     "GateSpec",
     "build_pe_datapath",
@@ -102,6 +100,7 @@ def build_pe_datapath() -> nx.DiGraph:
     the registered state (``A``, ``B``, ``Bs``, ``Cl``) and the
     incoming wires (``C``, ``SB``) to the next-state registers.
     """
+    import networkx as nx  # only the figure-6 model needs networkx
     g = nx.DiGraph()
 
     def add(name: str, kind: str, width: int) -> None:
@@ -163,6 +162,7 @@ def critical_path(g: nx.DiGraph | None = None) -> tuple[list[str], float]:
     Delay = sum of node delays on the path + one :data:`ROUTE_NS` per
     edge traversed.
     """
+    import networkx as nx
     if g is None:
         g = build_pe_datapath()
     best_path: list[str] = []

@@ -185,6 +185,7 @@ class TcpSearchServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[_Pending] | None = None
         self._writers: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
         self._conn_versions: dict[asyncio.StreamWriter, int] = {}
         self._drained: asyncio.Event | None = None
         self._exec = ThreadPoolExecutor(
@@ -295,6 +296,13 @@ class TcpSearchServer:
                 pass
         for writer in list(self._writers):
             writer.close()
+        if self._handlers:
+            # A peer that stopped reading never completes its close: abort it.
+            _, stuck = await asyncio.wait(self._handlers, timeout=self.config.drain_timeout)
+            for writer in list(self._writers):
+                writer.transport.abort()
+            if stuck:
+                await asyncio.wait(stuck)
         self._exec.shutdown(wait=True)
         self.engine.close()
         self.obs.log.info("net.stopped", served=self.served)
@@ -372,6 +380,7 @@ class TcpSearchServer:
         self._connections += 1
         self._g_connections.set(self._connections)
         self._writers.add(writer)
+        self._handlers.add(asyncio.current_task())
         peer = writer.get_extra_info("peername")
         self.obs.log.debug("net.connect", peer=str(peer))
         try:
@@ -408,6 +417,7 @@ class TcpSearchServer:
             pass
         finally:
             self._writers.discard(writer)
+            self._handlers.discard(asyncio.current_task())
             self._conn_versions.pop(writer, None)
             self._connections -= 1
             self._g_connections.set(self._connections)

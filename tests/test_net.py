@@ -9,6 +9,7 @@ faults and overload.
 """
 
 import asyncio
+import gc
 import socket
 import threading
 import time
@@ -381,6 +382,49 @@ class TestLifecycle:
                 with pytest.raises(ValueError):
                     client.search(query, QueryOptions(top=0))
             assert server.served == 1
+
+    def test_stop_with_idle_client_leaves_no_pending_task(self, planted, caplog):
+        _, _, index = planted
+        handle = ServerThread(make_engine(index)).start()
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            time.sleep(0.1)  # the handler is parked in its first read
+            with caplog.at_level("ERROR", logger="asyncio"):
+                handle.stop()
+                gc.collect()
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+        assert handle.server._connections == 0
+        assert not [r for r in caplog.records if "Task was destroyed" in r.getMessage()]
+
+    def test_stop_aborts_a_client_that_stopped_reading(self, planted, caplog):
+        # Pipelined stats requests whose answers are never read fill the
+        # socket buffers until the handler blocks in drain(); closing such
+        # a transport never completes, so stop() must abort it.
+        _, _, index = planted
+        handle = ServerThread(make_engine(index), config=ServerConfig(drain_timeout=0.2)).start()
+        request = {"v": 2, "type": "request", "id": 1, "verb": "stats"}
+        unsent = memoryview(protocol.encode_frame(request) * 100_000)
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((handle.host, handle.port))
+            sock.setblocking(False)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not any(
+                w.transport.get_write_buffer_size() for w in list(handle.server._writers)
+            ):
+                try:
+                    unsent = unsent[sock.send(unsent):]
+                except BlockingIOError:
+                    time.sleep(0.01)
+            assert time.monotonic() < deadline, "the server never backed up"
+            started = time.monotonic()
+            with caplog.at_level("ERROR", logger="asyncio"):
+                handle.stop()
+                assert handle.server._connections == 0
+                del handle  # a handler still pending would be destroyed here
+                gc.collect()
+        assert time.monotonic() - started < 5
+        assert not [r for r in caplog.records if "Task was destroyed" in r.getMessage()]
 
 
 class TestAdminVerbs:
