@@ -19,20 +19,24 @@ KB1 pins both halves of that promise:
   the whole workload (a smoke-scale version of the Hypothesis
   cross-backend property tests);
 * **throughput** — sustained CUPS of one ``locate_batch`` call over
-  the full query × record cross product, best of ``REPEATS`` passes.
-  Acceptance: ``numpy-striped`` is at least :data:`MIN_SPEEDUP`× the
-  reference backend.
+  the full query × record cross product, best of ``REPEATS`` passes,
+  on two shapes: many short records (what a shard sweep mostly holds)
+  and a few long ones (2 × 100 bp queries against 12 records of
+  2–5 kbp, the perfbench ``kernel-long`` shape).  Acceptance:
+  ``numpy-striped`` is at least :data:`MIN_SPEEDUP`× the reference
+  backend on the short shape and :data:`MIN_LONG_SPEEDUP`× on the
+  long one.
 
-Alongside the printed table a direct run writes ``BENCH_kernels.json``
-via :mod:`repro.analysis.results`.  ``python benchmarks/bench_kernels.py
---tiny`` runs a seconds-scale smoke for CI; ``--check-against PATH``
-additionally compares the measured speedup against a committed
-baseline JSON and fails on a >20% regression.
+Alongside the printed tables a direct run writes ``BENCH_kernels.json``
+via :mod:`repro.analysis.results`: the short shape's figures at the
+top level and the long shape's under ``"long"``.  ``python
+benchmarks/bench_kernels.py --tiny`` runs a seconds-scale smoke for CI;
+``--check-against PATH`` additionally compares both measured speedups
+against a committed baseline JSON and fails on a >20% regression of
+either.
 """
 
 import time
-
-import pytest
 
 from repro.align.generic_dp import smith_waterman_recurrence, sweep
 from repro.align.smith_waterman import sw_locate_best
@@ -53,6 +57,16 @@ REPEATS = 3
 #: Acceptance floor: striped must sustain at least this multiple of
 #: the reference backend's CUPS on the KB1 workload.
 MIN_SPEEDUP = 10.0
+#: The same floor on the long-record shape, where the reference
+#: kernel's per-row vectors are already long (the int64 striped sweep
+#: with a cumulative-max scan ran at 0.7-0.9x the reference here).
+MIN_LONG_SPEEDUP = 2.0
+#: ``(queries, query_bp, records, record_bp)`` per mode and shape;
+#: ``record_bp`` is a length or an inclusive ``(shortest, longest)``.
+SHAPES = {
+    "full": {"short": (8, 64, 240, 128), "long": (2, 100, 12, (2_000, 5_000))},
+    "tiny": {"short": (6, 64, 200, 96), "long": (2, 100, 8, (1_500, 3_000))},
+}
 #: ``--check-against`` tolerance: the measured speedup may drop at
 #: most this fraction below the committed baseline's.
 REGRESSION_TOLERANCE = 0.20
@@ -101,8 +115,11 @@ def test_s1_kernel_hierarchy(benchmark):
 # KB1 — batched backend sweep
 # ----------------------------------------------------------------------
 def _build_workload(n_queries, query_bp, n_records, record_bp, seed=500):
+    """Random DNA; record lengths evenly spaced over ``record_bp``."""
+    lo, hi = record_bp if isinstance(record_bp, tuple) else (record_bp, record_bp)
+    step = (hi - lo) // max(1, n_records - 1)
     queries = [random_dna(query_bp, seed=seed + i) for i in range(n_queries)]
-    records = [random_dna(record_bp, seed=seed + 100 + i) for i in range(n_records)]
+    records = [random_dna(lo + i * step, seed=seed + 100 + i) for i in range(n_records)]
     return queries, records
 
 
@@ -129,8 +146,8 @@ def _time_backend(name, queries, records, repeats=REPEATS):
     }, hits
 
 
-def run_kb1(queries, records, repeats=REPEATS, assert_speedup=True):
-    """The KB1 comparison; returns (rows, json payload)."""
+def run_kb1(queries, records, repeats=REPEATS, min_speedup=MIN_SPEEDUP):
+    """The KB1 comparison on one shape; returns (rows, json payload)."""
     runs = {}
     reference_hits = None
     for name in BACKENDS:
@@ -150,9 +167,9 @@ def run_kb1(queries, records, repeats=REPEATS, assert_speedup=True):
         "queries": len(queries),
         "query_bp": len(queries[0]),
         "records": len(records),
-        "record_bp": len(records[0]),
+        "record_bp": [min(map(len, records)), max(map(len, records))],
         "repeats": repeats,
-        "min_speedup": MIN_SPEEDUP,
+        "min_speedup": min_speedup,
         "runs": runs,
         "speedup": speedup,
     }
@@ -161,48 +178,61 @@ def run_kb1(queries, records, repeats=REPEATS, assert_speedup=True):
         for name, run in runs.items()
     ]
     rows.append(["speedup", "-", "-", f"{speedup:.1f}x"])
-    if assert_speedup:
-        assert speedup >= MIN_SPEEDUP, (
-            f"numpy-striped sustains only {speedup:.1f}x the reference backend "
-            f"(acceptance floor {MIN_SPEEDUP:.0f}x)"
-        )
+    assert speedup >= min_speedup, (
+        f"numpy-striped sustains only {speedup:.1f}x the reference backend "
+        f"(acceptance floor {min_speedup:.0f}x)"
+    )
     return rows, payload
 
 
+def run_shapes(mode):
+    """KB1 on both shapes of ``mode``; prints the tables, returns the payload."""
+    floors = {"short": MIN_SPEEDUP, "long": MIN_LONG_SPEEDUP}
+    payload = {}
+    for shape, (n_q, q_bp, n_r, r_bp) in SHAPES[mode].items():
+        queries, records = _build_workload(n_q, q_bp, n_r, r_bp)
+        rows, shape_payload = run_kb1(queries, records, min_speedup=floors[shape])
+        print(
+            render_table(
+                ["backend", "cells", "seconds", "sustained"],
+                rows,
+                title=f"KB1 {shape}: {n_q} queries x {n_r} records",
+            )
+        )
+        if shape == "short":
+            payload.update(shape_payload)
+        else:
+            payload[shape] = shape_payload
+    return payload
+
+
 def check_against(payload, baseline_path):
-    """Fail when the measured speedup regressed >20% vs the baseline."""
+    """Fail when either measured speedup regressed >20% vs the baseline.
+
+    Returns ``[(label, measured, committed, floor)]`` per shape.
+    """
     import json
 
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    base_speedup = baseline["speedup"]
-    floor = base_speedup * (1.0 - REGRESSION_TOLERANCE)
-    if payload["speedup"] < floor:
-        raise AssertionError(
-            f"speedup regressed: measured {payload['speedup']:.1f}x vs committed "
-            f"baseline {base_speedup:.1f}x (floor {floor:.1f}x)"
-        )
-    return base_speedup, floor
+    checks = []
+    for label, measured, committed in (
+        ("short", payload["speedup"], baseline["speedup"]),
+        ("long", payload["long"]["speedup"], baseline["long"]["speedup"]),
+    ):
+        floor = committed * (1.0 - REGRESSION_TOLERANCE)
+        if measured < floor:
+            raise AssertionError(
+                f"{label}-record speedup regressed: measured {measured:.1f}x vs "
+                f"committed baseline {committed:.1f}x (floor {floor:.1f}x)"
+            )
+        checks.append((label, measured, committed, floor))
+    return checks
 
 
-@pytest.fixture(scope="module")
-def kb1_workload():
-    return _build_workload(n_queries=8, query_bp=64, n_records=240, record_bp=128)
-
-
-def test_kb1_striped_speedup(benchmark, kb1_workload):
-    queries, records = kb1_workload
-    rows, payload = benchmark.pedantic(
-        lambda: run_kb1(queries, records), rounds=1, iterations=1
-    )
+def test_kb1_striped_speedup(benchmark):
     print()
-    print(
-        render_table(
-            ["backend", "cells", "seconds", "sustained"],
-            rows,
-            title=f"KB1: {len(queries)} queries x {len(records)} records",
-        )
-    )
+    payload = benchmark.pedantic(lambda: run_shapes("full"), rounds=1, iterations=1)
     write_bench_json("kernels", payload)
 
 
@@ -220,32 +250,18 @@ def main(argv=None):
         "--check-against",
         metavar="PATH",
         default=None,
-        help="committed baseline JSON; fail if speedup regressed >20%% vs it",
+        help="committed baseline JSON; fail if either speedup regressed >20%% vs it",
     )
     args = parser.parse_args(argv)
-    if args.tiny:
-        queries, records = _build_workload(
-            n_queries=6, query_bp=64, n_records=200, record_bp=96
-        )
-        rows, payload = run_kb1(queries, records)
-    else:
-        queries, records = _build_workload(
-            n_queries=8, query_bp=64, n_records=240, record_bp=128
-        )
-        rows, payload = run_kb1(queries, records)
-    print(
-        render_table(
-            ["backend", "cells", "seconds", "sustained"],
-            rows,
-            title=f"KB1: {len(queries)} queries x {len(records)} records",
-        )
-    )
+    payload = run_shapes("tiny" if args.tiny else "full")
     if args.check_against is not None:
-        base_speedup, floor = check_against(payload, args.check_against)
-        print(
-            f"baseline check ok: {payload['speedup']:.1f}x >= floor {floor:.1f}x "
-            f"(committed {base_speedup:.1f}x)"
-        )
+        for label, measured, committed, floor in check_against(
+            payload, args.check_against
+        ):
+            print(
+                f"baseline check ok ({label}): {measured:.1f}x >= floor "
+                f"{floor:.1f}x (committed {committed:.1f}x)"
+            )
     write_bench_json("kernels", payload)
     return 0
 

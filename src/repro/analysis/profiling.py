@@ -61,10 +61,10 @@ def profile_call(fn: Callable[[], object], top: int = 10) -> list[Hotspot]:
         fn()
     finally:
         profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
+    stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
+    by_cumulative = sorted(stats.items(), key=lambda item: item[1][3], reverse=True)
     hotspots: list[Hotspot] = []
-    for func, (cc, nc, tt, ct, _callers) in stats.stats.items():  # type: ignore[attr-defined]
+    for func, (cc, nc, tt, ct, _callers) in by_cumulative:
         filename, _line, name = func
         if _is_overhead_frame(filename, name, tt):
             continue

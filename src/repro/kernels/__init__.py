@@ -26,11 +26,8 @@ Built-in backends
     The pure-Python oracle (:func:`~repro.baselines.software.locate_pure`)
     — slow, dependency-free, shares no code with the kernels it checks.
 ``numpy-striped``
-    The batched profile kernel (:class:`~repro.kernels.striped.StripedKernel`):
-    every query × every record advances through one ``(Q, R, n)`` NumPy
-    matrix pass per DP row, amortizing interpreter and dispatch
-    overhead across the whole batch (SWAPHI's inter-/intra-sequence
-    parallelization mapped onto array axes).
+    The batched target-profile kernel (:class:`~repro.kernels.striped.StripedKernel`):
+    every query × every record through one NumPy matrix pass per DP row.
 ``hw-sim``
     The simulated FPGA accelerator
     (:class:`~repro.core.accelerator.SWAccelerator`) behind the same

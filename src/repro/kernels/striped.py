@@ -1,39 +1,35 @@
 """The ``numpy-striped`` backend: many pairs per matrix instruction.
 
-The reference kernel sweeps one (query, record) pair at a time: per DP
-row it issues a handful of NumPy calls over one length-``n`` vector.
-For the short records a sharded database mostly holds, that makes the
-sweep *dispatch-bound* — interpreter and ufunc-launch overhead, not
-arithmetic, dominates.  This kernel restores the arithmetic bound by
-advancing **every query against every record in the batch through the
-same DP row simultaneously**: state is a ``(Q, R, n+1)`` array (Q
-queries × R records × padded columns) and each row costs the same
-fixed number of NumPy calls regardless of Q and R — SWAPHI's
-inter-sequence (many records) × intra-sequence (vector lanes)
-parallelization mapped onto array axes.
+Every query and every record of a batch advance through the same DP
+row at once: state is a ``(Q, R, n+1)`` array (queries × records ×
+padded columns), so a row costs a fixed number of NumPy calls however
+many pairs it holds — SWAPHI's inter- and intra-sequence parallelism
+on array axes.  A row's pair scores are one gather from a **target
+profile** ``tp[a, r·n + j]`` (residue ``alphabet[a]`` of the queries,
+4 for DNA, against column ``j`` of record ``r``), laid along the
+database axis as in SWAPHI, so the profile never grows with query
+length.  The within-row term ``H[j] = max(h[j], H[j-1] + g)`` is one
+cumulative max on narrow rows; wide rows use a **doubling max-plus
+scan**, ``row[j] = max(row[j], row[j-s] + s·g)`` for ``s = 1, 2, 4,
+…``, stopping at the first span that changes no lane.  That exit is
+exact: after the spans below ``s`` each ``row[j]`` covers ``h[l] +
+(j-l)·g`` for ``j-s < l ≤ j``; an unchanged span ``s`` means
+``row[j] ≥ row[j-s] + s·g`` for every ``j``, and chaining that reaches
+every ``l ≤ j``.  Random sequences need two or three spans a row.
+State is the narrowest dtype the values fit (:meth:`StripedKernel.
+_state_dtype`): int16 for 100 bp queries against 5 kbp records.
 
-Two precomputations make the row cheap:
-
-* a **query profile** ``prof[qi, i, b]`` — the substitution score of
-  query ``qi``'s row-``i`` character against target byte ``b`` — so
-  the per-row pair scores for the whole batch are one fancy-indexed
-  gather ``prof[:, i, T]`` instead of Q×R ``pair_vector`` calls;
-* the same max-plus prefix scan the reference kernel uses, applied
-  along the last axis: ``cummax(H - j·g) + j·g`` resolves the
-  within-row dependency for every lane in one ``maximum.accumulate``.
-
-Exactness: records shorter than the chunk's padded width have their
-pad columns **zeroed after every row**.  A real column ``j`` reads
-only columns ``j-1`` and ``j`` of the previous and current rows, so a
-record's real columns never observe another record's — or their own
-pad — state; zeroed pads are exactly the cells of an all-zero DP
-boundary and can never win an ``argmax`` against a positive real cell
-(ties at 0 are never recorded: best-so-far starts at 0 and updates are
-strict).  Likewise queries shorter than the batch's longest query are
-simply masked out of the best-cell update once past their last row.
-The result is **bit-identical** to the reference kernel — same
-``(score, i, j)``, same smallest-``i``-then-smallest-``j`` tie-breaks
-— which the cross-backend property tests pin down.
+Exactness: a real column reads only columns ``j-1`` and ``j`` of the
+previous row and ``< j`` of its own, never another record or its own
+pads.  Pad columns and rows past a query's end score the **wall**
+``-(m+1)·pmax - 1``, which no ``H`` lifts above 0.  By induction over
+rows, pad ``k`` past a record's last column ``L`` holds at most
+``max(0, H[L] - k·|g|)``, and a row past a query's end peaks strictly
+below the row above it, or at 0; neither wins or ties the strict
+best-cell update (best-so-far starts at 0).  The result is
+**bit-identical** to the reference kernel — same ``(score, i, j)`` and
+smallest-``i``-then-smallest-``j`` tie-breaks — as the cross-backend
+property tests pin down.
 """
 
 from __future__ import annotations
@@ -49,11 +45,14 @@ from . import KernelBackend
 
 __all__ = ["StripedKernel", "DEFAULT_CELL_BUDGET"]
 
-#: Ceiling on ``Q × R × n`` live DP cells per chunk (~32 MiB of int64
-#: per state array); batches larger than this are split into chunks of
-#: records, never of queries, so every chunk still amortizes across
-#: the full query set.
+#: Ceiling on ``(Q + A) × R × n`` cells per chunk — Q queries' DP state
+#: plus A target-profile slabs over R records padded to n columns.
+#: Larger batches are split into chunks of records first and, when one
+#: record is already too wide for every query, of queries too.
 DEFAULT_CELL_BUDGET = 4_000_000
+
+#: Cells a row below which one cumulative max beats doubling-scan dispatch.
+NARROW_ROW = 32_768
 
 
 class StripedKernel(KernelBackend):
@@ -78,129 +77,133 @@ class StripedKernel(KernelBackend):
     ) -> list[list[LocalHit]]:
         q_codes = [encode(q) for q in queries]
         t_codes = [encode(t) for t in targets]
-        hits: list[list[LocalHit]] = [
-            [LocalHit(0, 0, 0)] * len(targets) for _ in queries
-        ]
-        live_q = [qi for qi, qc in enumerate(q_codes) if len(qc)]
-        live_t = [ti for ti, tc in enumerate(t_codes) if len(tc)]
-        if not live_q or not live_t:
+        hits = [[LocalHit(0, 0, 0)] * len(targets) for _ in queries]
+        # Longest first on both axes, so each chunk pads to a similar
+        # width and height — padding cells are real work here.
+        live_q = sorted(
+            (qi for qi, qc in enumerate(q_codes) if len(qc)),
+            key=lambda qi: -len(q_codes[qi]),
+        )
+        order = sorted(
+            (ti for ti, tc in enumerate(t_codes) if len(tc)),
+            key=lambda ti: -len(t_codes[ti]),
+        )
+        if not live_q or not order:
             return hits
-        prof = self._profiles([q_codes[qi] for qi in live_q], scheme)
-        # Chunk records by length (longest first) so each chunk pads to
-        # a similar width — padding cells are real work here.
-        order = sorted(live_t, key=lambda ti: -len(t_codes[ti]))
-        per_chunk = max(1, self.cell_budget // (len(live_q) * len(t_codes[order[0]])))
-        for lo in range(0, len(order), per_chunk):
-            chunk = order[lo : lo + per_chunk]
-            chunk_hits = self._sweep_chunk(
-                prof,
-                [len(q_codes[qi]) for qi in live_q],
-                [t_codes[ti] for ti in chunk],
-                scheme.gap,
-            )
-            for row, qi in enumerate(live_q):
-                for col, ti in enumerate(chunk):
-                    hits[qi][ti] = chunk_hits[row][col]
+        # One profile slab per distinct query residue, plus the wall.
+        residues = np.bincount(np.concatenate([q_codes[qi] for qi in live_q]))
+        n_slabs = np.count_nonzero(residues) + 1
+        lo = 0
+        while lo < len(order):
+            lanes = max(1, self.cell_budget // len(t_codes[order[lo]]))
+            per_q = max(1, min(len(live_q), lanes - n_slabs))
+            chunk = order[lo : lo + max(1, lanes // (per_q + n_slabs))]
+            lo += len(chunk)
+            for q_lo in range(0, len(live_q), per_q):
+                q_chunk = live_q[q_lo : q_lo + per_q]
+                chunk_hits = self._sweep_chunk(
+                    [q_codes[k] for k in q_chunk], [t_codes[k] for k in chunk], scheme
+                )
+                for row, qi in enumerate(q_chunk):
+                    for col, ti in enumerate(chunk):
+                        hits[qi][ti] = chunk_hits[row][col]
         return hits
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _profiles(
-        q_codes: list[np.ndarray], scheme: LinearScoring | SubstitutionMatrix
-    ) -> np.ndarray:
-        """``prof[qi, i, byte]`` — row-``i`` pair scores per target byte.
+    def _state_dtype(
+        pmin: int, pmax: int, m_max: int, n_max: int, gap: int, narrow: bool
+    ) -> type:
+        """The narrowest integer dtype no value the sweep computes overflows.
 
-        Rows past a query's length stay at the fill value; they are
-        computed by the sweep but masked out of every best-cell update.
+        H and the diagonal candidate lie in ``[pmin, (m+1)·pmax]``, the
+        up candidate is at least ``gap``.  A doubling-scan candidate
+        ``row[j-s] + s·gap`` is at least ``-s·|gap|``, where span ``s``
+        runs only if ``(s/2)·|gap| < H``'s cap and ``s < n``; the
+        ``narrow`` cumulative max shifts H by up to ``n·|gap|`` instead.
         """
-        n_q = len(q_codes)
-        m_max = max(len(qc) for qc in q_codes)
-        if isinstance(scheme, SubstitutionMatrix):
-            prof = np.zeros((n_q, m_max, 256), dtype=np.int64)
-            for qi, qc in enumerate(q_codes):
-                prof[qi, : len(qc), :] = scheme._table[qc, :]
-            return prof
-        prof = np.full((n_q, m_max, 256), scheme.mismatch, dtype=np.int64)
-        for qi, qc in enumerate(q_codes):
-            prof[qi, np.arange(len(qc)), qc] = scheme.match
-        return prof
-
-    @staticmethod
-    def _state_dtype(prof: np.ndarray, m_max: int, n_max: int, gap: int):
-        """The narrowest integer dtype no DP value can overflow.
-
-        DP magnitudes are bounded by ``m·max|pair|`` above and by the
-        scan offsets ``n·|gap|`` plus one pair score below; values are
-        identical in any dtype inside that bound, so the narrowest
-        state (a quarter of the memory traffic for short sequences —
-        this kernel is bandwidth bound) changes nothing but wall-clock.
-        """
-        pair_bound = int(np.abs(prof).max(initial=0))
-        bound = (m_max + n_max) * (pair_bound + abs(gap) + 1)
-        if bound < 2**14:
-            return np.int16
-        return np.int32 if bound < 2**30 else np.int64
+        hi = (m_max + 1) * max(pmax, 0)
+        span = min((n_max - 1) * abs(gap), max(abs(gap), 2 * hi))
+        if narrow:
+            hi, span = hi + n_max * abs(gap), n_max * abs(gap)
+        lo = min(pmin, gap, -span)
+        for dtype in (np.int16, np.int32):
+            info = np.iinfo(dtype)
+            if info.min <= lo and hi <= info.max:
+                return dtype
+        return np.int64
 
     def _sweep_chunk(
         self,
-        prof: np.ndarray,
-        q_lens: list[int],
+        q_codes: list[np.ndarray],
         t_codes: list[np.ndarray],
-        gap: int,
+        scheme: LinearScoring | SubstitutionMatrix,
     ) -> list[list[LocalHit]]:
         """One padded chunk: every query × every record, row by row."""
-        n_q = len(q_lens)
-        n_t = len(t_codes)
-        n_max = max(len(tc) for tc in t_codes)
-        m_max = max(q_lens)
-        dtype = self._state_dtype(prof, m_max, n_max, gap)
-        prof = prof.astype(dtype, copy=False)
-        T = np.zeros((n_t, n_max), dtype=np.intp)
+        gap, n_q, n_t = scheme.gap, len(q_codes), len(t_codes)
+        m_max, n_max = max(map(len, q_codes)), max(map(len, t_codes))
+        # np.unique would import numpy.ma (~30 ms) on a worker's first call.
+        alphabet = np.flatnonzero(np.bincount(np.concatenate(q_codes)))
+        # q_idx[i, qi]: query qi's row-i profile slab (the wall past its end).
+        q_idx = np.full((m_max, n_q), len(alphabet), dtype=np.intp)
+        for qi, qc in enumerate(q_codes):
+            q_idx[: len(qc), qi] = np.searchsorted(alphabet, qc)
+        # scores[a, byte]: alphabet[a] against every target byte.
+        if isinstance(scheme, SubstitutionMatrix):
+            scores = scheme._table[alphabet]
+        else:
+            same = alphabet[:, None] == np.arange(256)
+            scores = np.where(same, scheme.match, scheme.mismatch)
+        pmax = int(scores.max())
+        # No H plus the wall score is positive (see module docs).
+        wall = -(m_max + 1) * max(pmax, 0) - 1
+        narrow = n_q * n_t * n_max < NARROW_ROW
+        pmin = min(int(scores.min()), wall)
+        dtype = self._state_dtype(pmin, pmax, m_max, n_max, gap, narrow)
+        scores = np.pad(scores, ((0, 1), (0, 1)), constant_values=wall)
+        T = np.full((n_t, n_max), 256, dtype=np.intp)
         for ti, tc in enumerate(t_codes):
             T[ti, : len(tc)] = tc
-        t_lens = np.array([len(tc) for tc in t_codes], dtype=np.int64)
-        pad = np.arange(n_max, dtype=np.int64)[None, :] >= t_lens[:, None]
-        any_pad = bool(pad.any())
-        q_len_arr = np.array(q_lens, dtype=np.int64)
-        flat_T = T.ravel()
-
-        offsets = (gap * np.arange(1, n_max + 1)).astype(dtype)
-        prev = np.zeros((n_q, n_t, n_max + 1), dtype=dtype)
-        cur = np.zeros((n_q, n_t, n_max + 1), dtype=dtype)
-        pair = np.empty((n_q, n_t * n_max), dtype=dtype)
-        h = np.empty((n_q, n_t, n_max), dtype=dtype)
-        up = np.empty((n_q, n_t, n_max), dtype=dtype)
-        best = np.zeros((n_q, n_t), dtype=dtype)
-        best_i = np.zeros((n_q, n_t), dtype=np.int64)
-        best_j = np.zeros((n_q, n_t), dtype=np.int64)
+        tp = np.take(scores.astype(dtype), T.ravel(), axis=1)
+        prev, cur = np.zeros((2, n_q, n_t, n_max + 1), dtype=dtype)
+        pair, up = np.empty((2, n_q, n_t, n_max), dtype=dtype)
+        changed = np.empty((n_q, n_t, n_max), dtype=bool)
+        # NumPy's maximum against a Python scalar does not vectorize.
+        zero = np.zeros(n_max, dtype=dtype)
+        offsets = gap * np.arange(1, n_max + 1, dtype=dtype) if narrow else None
+        best, vals = np.zeros((2, n_q, n_t), dtype=dtype)
+        best_i, best_j = np.zeros((2, n_q, n_t), dtype=np.int64)
         for i in range(1, m_max + 1):
-            np.take(prof[:, i - 1, :], flat_T, axis=-1, out=pair)
-            pair_qr = pair.reshape(n_q, n_t, n_max)
-            np.add(prev[..., :-1], pair_qr, out=h)
-            np.add(prev[..., 1:], gap, out=up)
-            np.maximum(h, up, out=h)
-            np.maximum(h, 0, out=h)
+            np.take(tp, q_idx[i - 1], axis=0, out=pair.reshape(n_q, -1))
             row = cur[..., 1:]
-            np.subtract(h, offsets, out=h)
-            np.maximum.accumulate(h, axis=-1, out=row)
-            row += offsets
-            if any_pad:
-                # Pad columns are never read by real columns; pinning
-                # them to the all-zero boundary keeps argmax honest.
-                row[:, pad] = 0
-            vals = row.max(axis=-1)
-            improved = (vals > best) & (i <= q_len_arr)[:, None]
+            np.add(prev[..., :-1], pair, out=row)
+            np.add(prev[..., 1:], gap, out=up)
+            np.maximum(row, up, out=row)
+            np.maximum(row, zero, out=row)
+            if narrow:
+                # max_{l ≤ j} h[l] + (j-l)·g as one cumulative max.
+                np.subtract(row, offsets, out=up)
+                np.maximum.accumulate(up, axis=-1, out=row)
+                np.add(row, offsets, out=row)
+            s = n_max if narrow else 1
+            while s < n_max:
+                # up doubles as the shifted candidate buffer.
+                cand, hit = up[..., s:], changed[..., s:]
+                np.add(row[..., :-s], s * gap, out=cand)
+                np.greater(cand, row[..., s:], out=hit)
+                if not hit.any():
+                    break
+                np.maximum(row[..., s:], cand, out=row[..., s:])
+                s *= 2
+            row.max(axis=-1, out=vals)
+            improved = vals > best
             if improved.any():
-                # argmax (first occurrence = smallest j) only on the
-                # lanes that actually improved — most rows improve none.
+                # argmax (first occurrence = smallest j) only where a lane improved.
                 np.copyto(best, vals, where=improved)
                 best_i[improved] = i
                 best_j[improved] = np.argmax(row[improved], axis=-1) + 1
             prev, cur = cur, prev
         return [
-            [
-                LocalHit(int(best[qi, ti]), int(best_i[qi, ti]), int(best_j[qi, ti]))
-                for ti in range(n_t)
-            ]
-            for qi in range(n_q)
+            [LocalHit(*map(int, cell)) for cell in zip(*lanes)]
+            for lanes in zip(best, best_i, best_j)
         ]

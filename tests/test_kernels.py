@@ -15,10 +15,15 @@ The :mod:`repro.kernels` contract under test:
   callable.
 """
 
+import contextlib
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align.scoring import LinearScoring, blosum62
+from repro.align.scoring import LinearScoring, SubstitutionMatrix, blosum62
 from repro.align.smith_waterman import LocalHit, sw_locate_best
 from repro.io.fasta import FastaRecord
 from repro.io.generate import mutate, random_dna, random_protein
@@ -31,7 +36,7 @@ from repro.kernels import (
     get_backend,
     register_backend,
 )
-from repro.kernels import _FACTORIES, _INSTANCES
+from repro.kernels import _FACTORIES, _INSTANCES, striped
 from repro.scan import scan_database
 from repro.service import (
     BadRequest,
@@ -205,6 +210,11 @@ class TestBatchEquivalence:
             for qi, q in enumerate(queries):
                 for ti, t in enumerate(targets):
                     assert batch[qi][ti] == sw_locate_best(q, t, scheme)
+        # Rows this small take the cumulative-max scan; force the doubling
+        # scan that wide rows take.
+        with mock.patch.object(striped, "NARROW_ROW", 0):
+            batch = get_backend("numpy-striped").locate_batch(queries, targets, scheme)
+        assert batch == [[sw_locate_best(q, t, scheme) for t in targets] for q in queries]
 
     def test_striped_chunking_preserves_results(self):
         # A one-record cell budget forces a chunk per record, including
@@ -215,6 +225,152 @@ class TestBatchEquivalence:
         assert tiny.locate_batch(queries, targets) == get_backend(
             "reference"
         ).locate_batch(queries, targets)
+
+
+# ----------------------------------------------------------------------
+# numpy-striped: memory bounds and state-dtype edges
+# ----------------------------------------------------------------------
+#: Where the striped kernel's state widens: int16 -> int32 -> int64.
+DTYPE_EDGES = {2**15: (np.int16, np.int32), 2**31: (np.int32, np.int64)}
+
+
+@contextlib.contextmanager
+def picked_dtypes():
+    """Record the state dtype of every chunk the striped kernel sweeps."""
+    picked = []
+    real = StripedKernel._state_dtype
+
+    def spy(*args):
+        picked.append(real(*args))
+        return picked[-1]
+
+    with mock.patch.object(StripedKernel, "_state_dtype", staticmethod(spy)):
+        yield picked
+
+
+def peak_bytes(fn):
+    """``(result, tracemalloc peak)`` of one call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def dtype_edge_batches(draw):
+    """A skewed batch, a scan and a scheme that put the DP range on one
+    side of a state-dtype edge; ``(queries, records, scheme, wide, dtype)``.
+
+    ``wide`` forces the doubling scan, else the cumulative max runs.  The
+    *lever* crossing the edge is the match score (H's ceiling), the gap
+    (the up candidate), a mask penalty (the pair-score floor) or the
+    record length (the scan's reach: ``(n-1)·|gap|`` doubling, ``n·|gap|``
+    cumulative).
+    """
+    queries = draw(st.lists(dna_text(0, 12), min_size=1, max_size=6))
+    records = draw(st.lists(dna_text(0, 10), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # One long record among short ones.
+        records.insert(draw(st.integers(0, len(records))), draw(dna_text(40, 90)))
+    edge = draw(st.sampled_from(sorted(DTYPE_EDGES)))
+    above, wide = draw(st.booleans()), draw(st.booleans())
+    m = max(len(q) for q in queries)
+    n = max(len(t) for t in records)
+    reach = 0 if wide else n  # the cumulative max lifts H by up to n·|gap|
+    levers = ["match", "mask"] + (["gap"] + ["length"] * (n > 1) if wide else ["length"])
+    lever = draw(st.sampled_from(levers))
+    match, gap, penalty = 1, -1, -1
+    if lever == "match":
+        match = (edge - reach) // (m + 1) + 1 if above else (edge - 1 - reach) // (m + 1)
+    elif lever == "gap":
+        gap = -edge - above
+    elif lever == "mask":
+        penalty = -edge - above
+    elif wide:
+        match = (edge - 1) // (m + 1)
+        gap = -(edge // (n - 1) + above)
+    else:
+        gap = -(edge // max(n, 1) + 1) if above else -((edge - m - 2) // max(n, 1))
+    scheme = SubstitutionMatrix(
+        "ACGT",
+        {(a, b): match if a == b else -1 for a in "ACGT" for b in "ACGT"},
+        gap=gap,
+    ).with_mask_penalty("N", penalty)
+    # Sprinkle the masked symbol so the penalty is actually scored.
+    mask = lambda s: s if len(s) < 3 else s[:2] + "N" + s[3:]  # noqa: E731
+    queries = [mask(q) for q in queries]
+    records = [mask(t) for t in records]
+    return queries, records, scheme, wide, DTYPE_EDGES[edge][above]
+
+
+class TestStripedShapes:
+    @given(dtype_edge_batches())
+    @settings(max_examples=120)
+    def test_dtype_edges_match_pure(self, batch):
+        queries, records, scheme, wide, dtype = batch
+        with picked_dtypes() as picked, mock.patch.object(
+            striped, "NARROW_ROW", 0 if wide else 2**62
+        ):
+            got = get_backend("numpy-striped").locate_batch(queries, records, scheme)
+        assert got == get_backend("pure").locate_batch(queries, records, scheme)
+        live = any(queries) and any(records)
+        assert picked == ([dtype] if live else [])
+
+    def test_kernel_long_shape_runs_in_int16(self):
+        # 2 x 100 bp queries against 12 records of 2-5 kbp: the bound
+        # must keep this shape in int16, half the traffic of int32.
+        queries = [random_dna(100, seed=s) for s in (1, 2)]
+        records = [random_dna(2_000 + 250 * k, seed=30 + k) for k in range(12)]
+        with picked_dtypes() as picked:
+            StripedKernel().locate_batch(queries, records)
+        assert picked == [np.int16]
+
+    def test_state_dtype_edges(self):
+        def dtype(pmin, pmax, m, n, gap, narrow=False):
+            return StripedKernel._state_dtype(pmin, pmax, m, n, gap, narrow)
+
+        # H's ceiling (m+1)·pmax.
+        assert dtype(-1, 2**15 - 1, 0, 10, -1) is np.int16
+        assert dtype(-1, 2**15, 0, 10, -1) is np.int32
+        assert dtype(-1, 2**31, 0, 10, -1) is np.int64
+        # The pair-score floor, and the doubling scan's reach (n-1)·|gap|.
+        assert dtype(-(2**15), 1, 10, 10, -1) is np.int16
+        assert dtype(-(2**15) - 1, 1, 10, 10, -1) is np.int32
+        assert dtype(-1, 2**15 - 1, 0, 33, -1000) is np.int16
+        assert dtype(-1, 2**15 - 1, 0, 34, -1000) is np.int32
+        # Spans past 2·H's ceiling change nothing, so record length alone
+        # never widens the doubling scan's state ...
+        assert dtype(-1, 1, 100, 10**6, -2) is np.int16
+        # ... but the cumulative max shifts H by n·|gap|.
+        assert dtype(-1, 1, 100, 16_000, -2, narrow=True) is np.int16
+        assert dtype(-1, 1, 100, 17_000, -2, narrow=True) is np.int32
+
+    def test_long_query_profile_stays_small(self):
+        # One 20 kbp query against one 100 bp record: the profile used
+        # to be int64 (Q, m, 256), 2 KiB per query base (~80 MiB here).
+        query = random_dna(20_000, seed=5)
+        record = random_dna(100, seed=6)
+        hit, peak = peak_bytes(lambda: StripedKernel().locate(query, record))
+        assert hit == sw_locate_best(query, record)
+        assert peak < 8 * 2**20
+
+    def test_many_queries_chunked_within_budget(self):
+        # 64 queries against one 20 kbp record: a budget of eight lanes
+        # must split the queries, not run all 64 against the record.
+        queries = [random_dna(40, seed=100 + k) for k in range(64)]
+        record = [random_dna(20_000, seed=7)]
+        budget = 8 * 20_000
+        chunked, peak = peak_bytes(
+            lambda: StripedKernel(cell_budget=budget).locate_batch(queries, record)
+        )
+        whole, whole_peak = peak_bytes(
+            lambda: StripedKernel(cell_budget=10**9).locate_batch(queries, record)
+        )
+        assert chunked == whole
+        # Each chunk: 4 queries x 20k int16 state arrays plus the profile
+        # and target indices; the unchunked sweep holds all 64 at once.
+        assert peak < 3 * 2**20 < whole_peak
 
 
 # ----------------------------------------------------------------------
