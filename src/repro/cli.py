@@ -9,11 +9,10 @@ Commands mirror the repository's main workflows:
                route it through the service-layer engine).
 ``index``    — pre-encode a FASTA database into a persistent sharded
                index file for ``serve``/``batch``.
-``serve``    — run the search-service request loop (line protocol on
-               stdin/stdout, or the networked TCP front-end with
-               ``--tcp HOST:PORT``) over a database or saved index,
-               with structured logging (``--log-level``/``--log-json``)
-               and periodic metric dumps (``--metrics-file``).
+``serve``    — serve a database or saved index over the wire protocol
+               on ``--tcp HOST:PORT`` (required), with structured
+               logging (``--log-level``/``--log-json``) and periodic
+               metric dumps (``--metrics-file``).
 ``query``    — query a running ``serve --tcp`` server over the wire
                protocol and print the ranked hit table.
 ``stats``    — render a metrics snapshot written by
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_serve = sub.add_parser("serve", help="search-service request loop (stdin/stdout)")
+    p_serve = sub.add_parser("serve", help="serve the search service over TCP")
     p_serve.add_argument("database", type=Path, help="FASTA file or saved index (.idx/.npz)")
     p_serve.add_argument("--workers", type=int, default=1)
     p_serve.add_argument("--top", type=int, default=10)
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--tcp",
         metavar="HOST:PORT",
-        default=None,
-        help="serve the wire protocol on this TCP address instead of stdin/stdout",
+        required=True,
+        help="serve the wire protocol on this TCP address (port 0 picks a free one)",
     )
     p_serve.add_argument(
         "--batch-window",
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "hot-reload the index from disk on this signal "
-            "(TCP mode; e.g. --reload-signal hup, then kill -HUP <pid>)"
+            "(e.g. --reload-signal hup, then kill -HUP <pid>)"
         ),
     )
     p_serve.add_argument(
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help=(
-            "enable WAL-backed streaming ingest (TCP mode): journal, "
+            "enable WAL-backed streaming ingest: journal, "
             "seal and compact live records in this directory; recovery "
             "replays it on startup"
         ),
@@ -932,7 +931,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         from .obs import Observability, PeriodicDumper, configure_logging
-        from .service import QueryOptions, SearchServer
+        from .service import QueryOptions
+        from .service.net import ServerConfig, TcpSearchServer
 
         if args.log_level is not None or args.log_json:
             configure_logging(args.log_level or "info", json_lines=args.log_json)
@@ -959,59 +959,49 @@ def main(argv: list[str] | None = None) -> int:
                 obs=obs,
             )
             engine.attach_ingest(ingest_service)
-        if args.tcp is not None:
-            from .service.net import ServerConfig, TcpSearchServer
+        host, _, port = args.tcp.rpartition(":")
+        config = ServerConfig(
+            host=host or "127.0.0.1",
+            port=int(port),
+            batch_window=args.batch_window,
+            max_inflight=args.max_inflight,
+            adaptive=not args.static_inflight,
+        )
+        server = TcpSearchServer(engine, config=config, defaults=defaults, obs=obs)
 
-            host, _, port = args.tcp.rpartition(":")
-            config = ServerConfig(
-                host=host or "127.0.0.1",
-                port=int(port),
-                batch_window=args.batch_window,
-                max_inflight=args.max_inflight,
-                adaptive=not args.static_inflight,
+        def _announce(srv):
+            print(f"listening on {srv.host}:{srv.port}", flush=True)
+
+        reload_signal = None
+        if args.reload_signal is not None:
+            import signal as signal_mod
+
+            reload_signal = getattr(
+                signal_mod, f"SIG{args.reload_signal.upper()}"
             )
-            server = TcpSearchServer(engine, config=config, defaults=defaults, obs=obs)
+        dump_stop = None
+        if dumper is not None:
+            # run_blocking owns the thread until shutdown, so the
+            # dumper ticks on a daemon thread; one final dump after
+            # drain leaves a coherent last snapshot.
+            import threading as threading_mod
 
-            def _announce(srv):
-                print(f"listening on {srv.host}:{srv.port}", flush=True)
+            dump_stop = threading_mod.Event()
+            tick = max(0.05, min(args.metrics_interval, 1.0))
 
-            reload_signal = None
-            if args.reload_signal is not None:
-                import signal as signal_mod
+            def _dump_loop():
+                while not dump_stop.wait(timeout=tick):
+                    dumper.maybe_dump()
 
-                reload_signal = getattr(
-                    signal_mod, f"SIG{args.reload_signal.upper()}"
-                )
-            dump_stop = None
-            if dumper is not None:
-                # run_blocking owns the thread until shutdown, so the
-                # dumper ticks on a daemon thread; one final dump after
-                # drain leaves a coherent last snapshot.
-                import threading as threading_mod
-
-                dump_stop = threading_mod.Event()
-                tick = max(0.05, min(args.metrics_interval, 1.0))
-
-                def _dump_loop():
-                    while not dump_stop.wait(timeout=tick):
-                        dumper.maybe_dump()
-
-                threading_mod.Thread(target=_dump_loop, daemon=True).start()
-            try:
-                server.run_blocking(ready=_announce, reload_signal=reload_signal)
-            finally:
-                engine.close()
-                if dump_stop is not None:
-                    dump_stop.set()
-                    dumper.dump()
-            print(f"served {server.served} requests")
-            return 0
-        server = SearchServer(engine, defaults, dumper=dumper)
+            threading_mod.Thread(target=_dump_loop, daemon=True).start()
         try:
-            served = server.serve(sys.stdin, sys.stdout)
+            server.run_blocking(ready=_announce, reload_signal=reload_signal)
         finally:
             engine.close()
-        print(f"served {served} requests")
+            if dump_stop is not None:
+                dump_stop.set()
+                dumper.dump()
+        print(f"served {server.served} requests")
         return 0
 
     if args.command == "query":

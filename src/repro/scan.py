@@ -17,9 +17,8 @@ SSEARCH-style tool:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .align.local_linear import local_align_linear
 from .align.scoring import DEFAULT_DNA, LinearScoring, SubstitutionMatrix
@@ -67,11 +66,6 @@ class ScanReport:
     total_seconds: float = 0.0
 
     @property
-    def seconds(self) -> float:
-        """Backwards-compatible alias for :attr:`total_seconds`."""
-        return self.total_seconds
-
-    @property
     def cups(self) -> float:
         """Sweep throughput — cells over the phase-1 sweep time only."""
         return self.cells / self.sweep_seconds if self.sweep_seconds > 0 else 0.0
@@ -111,7 +105,6 @@ def scan_database(
     query: str,
     records: Iterable[FastaRecord] | Iterable[tuple[str, str]] | Sequence[str],
     scheme: LinearScoring | SubstitutionMatrix = DEFAULT_DNA,
-    locate: Callable[..., LocalHit] | None = None,
     top: int = 10,
     min_score: int = 1,
     retrieve: int = 3,
@@ -131,10 +124,6 @@ def scan_database(
         or a :class:`~repro.kernels.KernelBackend` instance.  ``None``
         uses the process default (``REPRO_KERNEL`` when set, else the
         reference row sweep).  Every backend ranks bit-identically.
-    locate:
-        **Deprecated** — a raw locate callable, the pre-registry way
-        to select the kernel.  Still honoured (with a
-        :class:`DeprecationWarning`); pass ``kernel=`` instead.
     top:
         Keep this many best records in the report.
     min_score:
@@ -151,16 +140,7 @@ def scan_database(
         raise ValueError(f"top must be positive, got {top}")
     if retrieve < 0:
         raise ValueError(f"retrieve cannot be negative, got {retrieve}")
-    if locate is not None and kernel is not None:
-        raise TypeError("pass kernel= or the deprecated locate=, not both")
-    if locate is not None:
-        warnings.warn(
-            "locate= is deprecated; pass kernel=\"<backend-name>\" "
-            "(or a repro.kernels.KernelBackend) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    elif kernel is not None:
+    if kernel is not None:
         from .kernels import KernelBackend, get_backend
 
         backend = kernel if isinstance(kernel, KernelBackend) else get_backend(kernel)

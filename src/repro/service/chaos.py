@@ -743,11 +743,9 @@ class _SplitClient(SearchClient):
         self._controller = controller
         super().__init__(address, **kwargs)
 
-    def search(self, query, options=None, trace_id=None, parent_span=None, **legacy):
+    def search(self, query, options=None, trace_id=None, parent_span=None):
         self._controller.check(self._split_address)
-        return super().search(
-            query, options, trace_id=trace_id, parent_span=parent_span, **legacy
-        )
+        return super().search(query, options, trace_id=trace_id, parent_span=parent_span)
 
     def search_pipelined(self, queries, options=None, trace_id=None, parent_span=None):
         self._controller.check(self._split_address)

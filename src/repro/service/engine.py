@@ -42,13 +42,19 @@ from .pool import (
     Candidate,
     ShardWorkerPool,
     WorkerSpec,
-    _sweep_shard,
     merge_candidates,
-    shard_task,
+    sweep_inline,
 )
 from .resilience import Deadline, SupervisedWorkerPool, SweepOutcome
 
 __all__ = ["RequestMetrics", "SearchResponse", "SearchEngine"]
+
+#: The graceful-degradation sweep's kernel.  The fallback runs when the
+#: pool could not finish a sweep: in-process, with no fault injection,
+#: on the same row sweep ``scan_database`` runs — the most trustworthy
+#: way to finish.  Every backend is bit-identical, so healing a sweep
+#: on the reference kernel changes nothing a caller can observe.
+_FALLBACK_SPEC = WorkerSpec("reference")
 
 
 @dataclass(frozen=True)
@@ -314,26 +320,6 @@ class SearchEngine:
         return self._retrieve_locate
 
     # ------------------------------------------------------------------
-    def _sweep_inline(self, shards, queries, min_score: int, k: int, deadline=None):
-        """Sweep ``shards`` in-process with the reference kernel.
-
-        This is the graceful-degradation path: no subprocesses, no
-        fault injection, the same row sweep ``scan_database`` runs —
-        the most trustworthy way to finish a sweep the pool could not.
-        Every backend is bit-identical, so healing a sweep on the
-        reference kernel changes nothing a caller can observe.  The
-        deadline (when set) is enforced at shard granularity.
-        """
-        spec = WorkerSpec("reference")
-        sweeps = []
-        for shard in shards:
-            if deadline is not None:
-                deadline.check("inline sweep")
-            sweeps.append(
-                _sweep_shard(shard_task(shard, queries, self.scheme, spec, min_score, k))
-            )
-        return sweeps
-
     def _run_sweep(
         self, index, queries, min_score: int, k: int, deadline=None, spec=None
     ):
@@ -360,8 +346,9 @@ class SearchEngine:
             self.obs.log.warning(
                 "engine.fallback", reason="pool-unhealthy", queries=len(queries)
             )
-            sweeps = self._sweep_inline(
-                index.active_shards, queries, min_score, k, deadline
+            sweeps = sweep_inline(
+                index.active_shards, queries, self.scheme, _FALLBACK_SPEC,
+                min_score, k, deadline,
             )
             return sweeps, tuple(sorted(load_degraded))
         result = self.pool.sweep(
@@ -386,7 +373,11 @@ class SearchEngine:
             self.obs.log.warning(
                 "engine.fallback", reason="failed-shards", shards=shard_ids
             )
-            sweeps.extend(self._sweep_inline(healed, queries, min_score, k, deadline))
+            sweeps.extend(
+                sweep_inline(
+                    healed, queries, self.scheme, _FALLBACK_SPEC, min_score, k, deadline
+                )
+            )
             failed.clear()
         return sweeps, tuple(sorted(load_degraded | set(failed)))
 
@@ -426,39 +417,18 @@ class SearchEngine:
     def search(
         self,
         query: str,
-        options: QueryOptions | int | None = None,
+        options: QueryOptions | None = None,
         *,
-        top: int | None = None,
-        min_score: int | None = None,
-        retrieve: int | None = None,
-        statistics: ScoreStatistics | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResponse:
-        """Rank the database against one query (see ``search_batch``).
-
-        ``options`` is the request's :class:`~repro.service.QueryOptions`;
-        the spelled-out keywords are the deprecated pre-options
-        signature, kept working through the same shim ``search_batch``
-        applies.
-        """
-        resolved = resolve_query_options(
-            options,
-            top=top,
-            min_score=min_score,
-            retrieve=retrieve,
-            statistics=statistics,
-        )
-        return self.search_batch([query], resolved, deadline=deadline)[0]
+        """Rank the database against one query (see ``search_batch``)."""
+        return self.search_batch([query], options, deadline=deadline)[0]
 
     def search_batch(
         self,
         queries: Sequence[str],
-        options: QueryOptions | int | None = None,
+        options: QueryOptions | None = None,
         *,
-        top: int | None = None,
-        min_score: int | None = None,
-        retrieve: int | None = None,
-        statistics: ScoreStatistics | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResponse]:
         """Rank the database against every query in one index pass.
@@ -471,8 +441,7 @@ class SearchEngine:
 
         ``options`` (a :class:`~repro.service.QueryOptions`) carries
         ``top``/``min_score``/``retrieve``/``statistics``/
-        ``deadline_ms``; the legacy keywords still work but emit a
-        :class:`DeprecationWarning`.
+        ``deadline_ms``/``kernel``.
 
         ``deadline`` is an already-anchored budget from an upstream
         layer (the TCP server anchors at receipt); when absent and the
@@ -484,13 +453,7 @@ class SearchEngine:
         a hot reload mid-batch is invisible to this batch, which
         finishes on the generation it admitted under.
         """
-        resolved = resolve_query_options(
-            options,
-            top=top,
-            min_score=min_score,
-            retrieve=retrieve,
-            statistics=statistics,
-        ).validate()
+        resolved = resolve_query_options(options).validate()
         top = resolved.top
         min_score = resolved.min_score
         retrieve = resolved.retrieve

@@ -52,6 +52,7 @@ __all__ = [
     "WorkerSet",
     "merge_candidates",
     "shard_task",
+    "sweep_inline",
 ]
 
 #: ``(score, global_index, i, j)`` — the pool's wire format for one
@@ -187,6 +188,28 @@ def _sweep_shard(
         seconds=time.perf_counter() - t0,
         worker=f"worker-{os.getpid()}",
     )
+
+
+def sweep_inline(
+    shards,
+    queries: Sequence[str],
+    scheme: LinearScoring | SubstitutionMatrix,
+    spec: WorkerSpec,
+    min_score: int,
+    k: int,
+    deadline=None,
+) -> list[ShardSweep]:
+    """Sweep ``shards`` one by one in this process.
+
+    ``deadline`` (a :class:`~repro.service.resilience.Deadline`) is
+    checked before each shard.
+    """
+    sweeps = []
+    for shard in shards:
+        if deadline is not None:
+            deadline.check("inline sweep")
+        sweeps.append(_sweep_shard(shard_task(shard, queries, scheme, spec, min_score, k)))
+    return sweeps
 
 
 def merge_candidates(
@@ -437,15 +460,9 @@ class ShardWorkerPool(_WorkerPool):
         """
         spec = spec if spec is not None else self.spec
         shards = index.active_shards
-        sweeps = []
         if self.workers == 1 or len(shards) <= 1:
-            for shard in shards:
-                if deadline is not None:
-                    deadline.check("shard sweep")
-                sweeps.append(
-                    _sweep_shard(shard_task(shard, queries, scheme, spec, min_score, k))
-                )
-            return sweeps
+            return sweep_inline(shards, queries, scheme, spec, min_score, k, deadline)
+        sweeps = []
 
         def launch(shard, attempt):
             return _sweep_shard, (shard_task(shard, queries, scheme, spec, min_score, k),)

@@ -79,9 +79,9 @@ __all__ = [
 class ServiceError(RuntimeError):
     """Base of the service-layer error taxonomy.
 
-    ``code`` is the stable one-token failure class the server's line
-    protocol reports (``error <code> <message>``); subclasses override
-    it.  Anything that is not a :class:`ServiceError` or a bad request
+    ``code`` is the stable one-token failure class the TCP server's
+    error frames carry and the CLI prints (``error <code> <message>``);
+    subclasses override it.  Anything that is not a :class:`ServiceError` or a bad request
     surfaces as ``internal``.
     """
 

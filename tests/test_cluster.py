@@ -12,19 +12,18 @@ from conftest import dna_pair
 
 
 class TestDeprecatedShim:
-    def test_old_import_path_warns_and_resolves(self):
-        import repro.parallel.cluster as legacy
+    """The old ``repro.parallel.cluster`` alias is gone; the simulation
+    lives only at :mod:`repro.parallel.wavefront_cluster`."""
 
-        with pytest.warns(DeprecationWarning, match="wavefront_cluster"):
-            cls = legacy.WavefrontCluster
-        assert cls is WavefrontCluster
-        assert "accelerated_config" in dir(legacy)
+    def test_old_import_path_warns_and_resolves(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.parallel.cluster  # noqa: F401
 
     def test_unknown_attribute_raises(self):
-        import repro.parallel.cluster as legacy
+        import repro.parallel
 
         with pytest.raises(AttributeError):
-            legacy.does_not_exist
+            repro.parallel.cluster
 
 
 class TestClusterCorrectness:

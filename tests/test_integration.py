@@ -1,5 +1,9 @@
 """End-to-end integration tests: the full co-design workflows."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.align.local_linear import local_align_linear
@@ -12,6 +16,8 @@ from repro.io.fasta import FastaRecord, read_fasta, write_fasta
 from repro.io.generate import mutated_pair, planted_pair, random_dna
 from repro.parallel.wavefront_cluster import ClusterConfig, WavefrontCluster
 from repro.parallel.zalign import zalign
+
+from conftest import src_env
 
 
 class TestFastaToAlignment:
@@ -108,3 +114,16 @@ class TestClusterWithAccelerators:
         assert run.hit.score >= 50
         # The hit must end within/after the planted fragment region.
         assert run.hit.i > p.s_pos
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
+def test_example_runs_without_deprecation_warnings(script, tmp_path):
+    """Every script in ``examples/`` runs to exit 0 on the current API."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", str(script)],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,8 +11,7 @@ The :mod:`repro.kernels` contract under test:
 * batched and sequential entry points of the same backend agree;
 * selection is honoured end-to-end: ``scan_database(kernel=...)``,
   ``QueryOptions.kernel`` through the engine and over TCP, cache keys
-  per kernel, and the deprecation shim for the old ``locate=``
-  callable.
+  per kernel; the old ``locate=`` callable is a ``TypeError``.
 """
 
 import contextlib
@@ -374,7 +373,7 @@ class TestStripedShapes:
 
 
 # ----------------------------------------------------------------------
-# scan_database selection + deprecation
+# scan_database selection
 # ----------------------------------------------------------------------
 class TestScanKernelSelection:
     RECORDS = [("a", "TTACGTTT"), ("b", "ACGTACGT"), ("c", "GGGGGGGG")]
@@ -397,15 +396,12 @@ class TestScanKernelSelection:
             scan_database("ACGT", self.RECORDS, kernel="fortran")
 
     def test_locate_callable_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning, match="locate= is deprecated"):
-            report = scan_database(
-                "ACGT", self.RECORDS, locate=sw_locate_best, retrieve=0
-            )
-        base = scan_database("ACGT", self.RECORDS, retrieve=0)
-        assert ranking(report.hits) == ranking(base.hits)
+        """The removed ``locate=`` callable is a TypeError; ``kernel=`` is the way."""
+        with pytest.raises(TypeError, match="locate"):
+            scan_database("ACGT", self.RECORDS, locate=sw_locate_best, retrieve=0)
 
     def test_locate_and_kernel_together_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="locate"):
             scan_database(
                 "ACGT", self.RECORDS, locate=sw_locate_best, kernel="reference"
             )
@@ -453,12 +449,6 @@ class TestQueryOptionsKernel:
             protocol.options_from_wire({"kernel": 3})
         with pytest.raises(ValueError, match="non-empty string"):
             protocol.options_from_wire({"kernel": ""})
-
-    def test_line_protocol_token(self):
-        parsed = protocol.parse_option_tokens(["top=3", "kernel=numpy-striped"])
-        assert parsed == {"top": 3, "kernel": "numpy-striped"}
-        with pytest.raises(ValueError, match="needs a value"):
-            protocol.parse_option_tokens(["kernel="])
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,8 @@ from repro.service.net import ServerConfig, ServerThread
 from repro.service.resilience import Fault, FaultPlan, corrupt_index_file
 from repro.service import protocol
 
+from conftest import recv_frame
+
 
 def ranking(hits):
     return [(h.record, h.length, h.hit.as_tuple()) for h in hits]
@@ -188,7 +190,7 @@ class TestBackpressure:
         with ServerThread(engine, config=config) as handle:
             with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
                 sock.sendall(protocol.encode_frame(protocol.hello_frame()))
-                replies = [_recv_frame(sock)]
+                replies = [recv_frame(sock)]
                 assert (
                     protocol.check_hello_reply(replies.pop())
                     == protocol.PROTOCOL_VERSION
@@ -199,7 +201,7 @@ class TestBackpressure:
                             protocol.search_request(request_id, query, QueryOptions())
                         )
                     )
-                replies = [_recv_frame(sock) for _ in range(3)]
+                replies = [recv_frame(sock) for _ in range(3)]
         by_id = {frame["id"]: frame for frame in replies}
         errors = [f for f in replies if f["type"] == "error"]
         assert errors and all(f["code"] == "overloaded" for f in errors)
@@ -274,13 +276,13 @@ class TestFaults:
                 ready.set()
                 conn, _ = listener.accept()
                 with conn:
-                    _recv_frame(conn)  # client hello
+                    recv_frame(conn)  # client hello
                     conn.sendall(
                         protocol.encode_frame(
                             protocol.hello_reply(protocol.PROTOCOL_VERSION)
                         )
                     )
-                    _recv_frame(conn)  # the search request
+                    recv_frame(conn)  # the search request
                     # Promise a 64-byte response, deliver 7 bytes, die.
                     conn.sendall(protocol.HEADER.pack(64) + b'{"v": 2')
 
@@ -304,7 +306,7 @@ class TestFaults:
         with ServerThread(make_engine(index)) as handle:
             with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
                 sock.sendall(protocol.HEADER.pack(protocol.MAX_FRAME_BYTES + 1))
-                frame = _recv_frame(sock)
+                frame = recv_frame(sock)
                 assert frame["type"] == "error" and frame["code"] == "protocol"
                 # The server closes a protocol-broken connection.
                 assert sock.recv(1) == b""
@@ -314,7 +316,7 @@ class TestFaults:
         with ServerThread(make_engine(index)) as handle:
             with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
                 sock.sendall(protocol.HEADER.pack(5) + b"{nope")
-                frame = _recv_frame(sock)
+                frame = recv_frame(sock)
                 assert frame["type"] == "error" and frame["code"] == "protocol"
 
 
@@ -526,18 +528,3 @@ class TestTraceAdoption:
         (root,) = obs.tracer.recent
         assert "remote" not in root.attrs
         assert root.trace_id.startswith("t")
-
-
-def _recv_frame(sock: socket.socket) -> dict:
-    header = _recv_exact(sock, protocol.HEADER.size)
-    return protocol.decode_frame(_recv_exact(sock, protocol.frame_length(header)))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = sock.recv(n - len(data))
-        if not chunk:
-            raise EOFError(f"socket closed after {len(data)} of {n} bytes")
-        data += chunk
-    return data

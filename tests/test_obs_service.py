@@ -1,25 +1,30 @@
 """Integration tests: the observability layer wired through the service."""
 
-import io
 import json
-import queue
+import socket
+import time
 
 import pytest
 
-from repro.io.fasta import FastaRecord
+from repro.io.fasta import FastaRecord, write_fasta
 from repro.io.generate import mutate, random_dna
 from repro.obs import NULL_OBS, Observability
 from repro.scan import scan_database
 from repro.service import (
+    BadRequest,
     DatabaseIndex,
     FaultPlan,
-    QueryRequest,
+    QueryOptions,
     ResultCache,
     RetryPolicy,
+    SearchClient,
     SearchEngine,
-    SearchServer,
     SupervisedWorkerPool,
 )
+from repro.service import protocol
+from repro.service.net import ServerThread
+
+from conftest import ServeProcess, recv_frame
 
 
 def make_database(n=8, length=240, seed=700, query=None):
@@ -193,134 +198,120 @@ class TestFaultTelemetry:
 
 
 class TestServerVerbs:
-    def test_stats_includes_metrics_lines(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        text = server.handle_line("stats")
-        assert "repro_requests_total: 1" in text
-        assert "repro_sweep_seconds: count=1" in text
-        assert "cache hit rate" in text  # the pre-existing summary survives
+    """The ``metrics``/``trace`` admin verbs over TCP.  ``stats`` is covered
+    by ``tests/test_net.py::TestAdminVerbs``."""
 
     def test_metrics_verb_renders_prometheus(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        text = server.handle_line("metrics")
+        with ServerThread(SearchEngine(index, obs=Observability.create())) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                client.search(query, QueryOptions(top=2))
+                text = client.metrics()
         assert "# TYPE repro_requests_total counter" in text
         assert 'repro_sweep_seconds_bucket{le="+Inf"} 1' in text
 
     def test_metrics_verb_without_registry(self, planted):
         _, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        assert server.handle_line("metrics") == "# no metrics registered"
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert client.metrics() == ""
 
     def test_trace_verb_lists_and_renders(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index, obs=Observability.create()))
-        server.handle_line(f"scan {query} top=2")
-        listing = server.handle_line("trace")
-        assert "engine.search" in listing
-        trace_id = listing.split()[0]
-        rendered = server.handle_line(f"trace {trace_id}")
+        with ServerThread(SearchEngine(index, obs=Observability.create())) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                client.search(query, QueryOptions(top=2))
+                # The net.batch span lands in the ring just after the reply.
+                deadline = time.monotonic() + 5.0
+                while (listing := client.trace()).startswith("#"):
+                    assert time.monotonic() < deadline, "search trace never landed"
+                    time.sleep(0.01)
+                assert "net.batch" in listing
+                rendered = client.trace(listing.split()[0])
         assert "engine.search" in rendered
         assert "cache.lookup" in rendered
 
     def test_trace_verb_error_paths(self, planted):
-        query, _, index = planted
-        live = SearchServer(SearchEngine(index, obs=Observability.create()))
-        assert live.handle_line("trace") == "# no traces recorded"
-        assert live.handle_line("trace t999999").startswith("error bad-request")
-        off = SearchServer(SearchEngine(index))
-        assert "tracing disabled" in off.handle_line("trace")
+        _, _, index = planted
+        with ServerThread(SearchEngine(index, obs=Observability.create())) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert client.trace() == "# no traces recorded"
+                with pytest.raises(BadRequest, match="unknown trace id"):
+                    client.trace("t999999")
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                assert "tracing disabled" in client.trace()
 
     def test_unknown_verb_mentions_new_verbs(self, planted):
         _, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        message = server.handle_line("frobnicate")
-        assert "metrics" in message and "trace" in message
+        with ServerThread(SearchEngine(index)) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                frame = {"v": 2, "type": "request", "id": 1, "verb": "frobnicate"}
+                sock.sendall(protocol.encode_frame(frame))
+                reply = recv_frame(sock)
+        assert reply["type"] == "error" and reply["code"] == "protocol"
+        assert "metrics" in reply["message"] and "trace" in reply["message"]
 
 
 class TestServeDumper:
     def test_serve_writes_metrics_file(self, tmp_path, planted):
-        from repro.obs import PeriodicDumper
-
-        query, _, index = planted
-        obs = Observability.create()
-        engine = SearchEngine(index, obs=obs)
+        """``--metrics-file`` is rewritten while the server runs, not only at exit."""
+        query, records, _ = planted
+        write_fasta(records, tmp_path / "db.fasta")
         path = tmp_path / "metrics.json"
-        server = SearchServer(
-            engine, dumper=PeriodicDumper(obs.registry, path, interval=0.0)
-        )
-        out = io.StringIO()
-        server.serve(io.StringIO(f"scan {query} top=2\nquit\n"), out)
-        data = json.loads(path.read_text())
-        assert data["counters"]["repro_requests_total"] == 1.0
+        with ServeProcess(
+            "db.fasta", "--metrics-file", str(path), "--metrics-interval", "0",
+            cwd=tmp_path,
+        ) as server:
+            with SearchClient(server.address) as client:
+                client.search(query, QueryOptions(top=2))
+            deadline = time.monotonic() + 10.0
+            while _requests_dumped(path) != 1.0:
+                assert time.monotonic() < deadline, "no periodic dump after the search"
+                time.sleep(0.05)
+            assert server.stop()[0] == 0
 
-    def test_serve_queue_dumps_on_shutdown(self, tmp_path, planted):
-        from repro.obs import PeriodicDumper
 
-        query, _, index = planted
-        obs = Observability.create()
-        engine = SearchEngine(index, obs=obs)
-        path = tmp_path / "metrics.json"
-        server = SearchServer(
-            engine, dumper=PeriodicDumper(obs.registry, path, interval=3600.0)
-        )
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=2))
-        requests.put(None)
-        server.serve_queue(requests, responses)
-        # The shutdown path dumps unconditionally, interval or not.
-        data = json.loads(path.read_text())
-        assert data["counters"]["repro_requests_total"] == 1.0
+def _requests_dumped(path) -> float | None:
+    try:
+        return json.loads(path.read_text())["counters"].get("repro_requests_total")
+    except (OSError, ValueError):
+        return None
 
 
 class TestCLIObservability:
     def _db(self, tmp_path, records):
-        from repro.io.fasta import write_fasta
-
         db = tmp_path / "db.fasta"
         write_fasta(records, db)
         return db
 
-    def test_serve_with_metrics_file_and_logging(
-        self, tmp_path, capsys, monkeypatch, planted
-    ):
-        from repro.cli import main
-
+    def test_serve_with_metrics_file_and_logging(self, tmp_path, planted):
         query, records, _ = planted
         db = self._db(tmp_path, records)
         path = tmp_path / "metrics.json"
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nstats\nquit\n")
-        )
-        assert (
-            main(
-                [
-                    "serve", str(db),
-                    "--log-level", "warning",
-                    "--metrics-file", str(path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rec2" in out
-        assert "repro_requests_total: 1" in out
+        with ServeProcess(
+            db.name, "--log-level", "warning", "--metrics-file", str(path), cwd=tmp_path
+        ) as server:
+            with SearchClient(server.address) as client:
+                response = client.search(query, QueryOptions(top=2))
+                assert "repro_requests_total 1" in client.metrics()
+            code, out, _ = server.stop()
+        assert code == 0 and "served 1 requests" in out
+        assert response.report.best().record == "rec2"
+        # The interval (5 s) has not elapsed: the count comes from the
+        # final dump after drain.
         snapshot = json.loads(path.read_text())
         assert snapshot["counters"]["repro_requests_total"] == 1.0
 
-    def test_stats_command_renders_snapshot(self, tmp_path, capsys, monkeypatch, planted):
+    def test_stats_command_renders_snapshot(self, tmp_path, capsys, planted):
         from repro.cli import main
 
         query, records, _ = planted
         db = self._db(tmp_path, records)
         path = tmp_path / "metrics.json"
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"scan {query} top=2\nquit\n"))
-        assert main(["serve", str(db), "--metrics-file", str(path)]) == 0
-        capsys.readouterr()
+        with ServeProcess(db.name, "--metrics-file", str(path), cwd=tmp_path) as server:
+            with SearchClient(server.address) as client:
+                client.search(query, QueryOptions(top=2))
         assert main(["stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "counters / gauges" in out
@@ -335,28 +326,11 @@ class TestCLIObservability:
         assert main(["stats", str(path)]) == 0
         assert "no metrics in snapshot" in capsys.readouterr().out
 
-    def test_serve_log_json_emits_structured_stderr(
-        self, tmp_path, capsys, monkeypatch, planted
-    ):
-        import logging
-
-        from repro.cli import main
-
-        query, _, index = planted
-        idx = tmp_path / "db.idx"
-        index.save(idx)
-        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
-        try:
-            assert main(["serve", str(idx), "--log-json", "--log-level", "info"]) == 0
-            err = capsys.readouterr().err
-            payloads = [json.loads(line) for line in err.splitlines() if line]
-            assert any(p["event"] == "index.loaded" for p in payloads)
-        finally:
-            root = logging.getLogger("repro")
-            for handler in list(root.handlers):
-                if not isinstance(handler, logging.NullHandler):
-                    root.removeHandler(handler)
-            root.setLevel(logging.NOTSET)
-            import repro.obs.log as obslog
-
-            obslog._json_lines = False
+    def test_serve_log_json_emits_structured_stderr(self, tmp_path, planted):
+        _, _, index = planted
+        index.save(tmp_path / "db.idx")
+        with ServeProcess("db.idx", "--log-json", "--log-level", "info", cwd=tmp_path) as server:
+            code, _, err = server.stop()
+        assert code == 0
+        payloads = [json.loads(line) for line in err.splitlines() if line]
+        assert any(p["event"] == "index.loaded" for p in payloads)

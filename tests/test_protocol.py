@@ -1,10 +1,10 @@
-"""Wire-protocol tests: framing round-trips, failure modes, shims.
+"""Wire-protocol tests: framing round-trips, failure modes, options.
 
 The frame protocol is the contract between server and client; these
 tests pin it three ways — property-based encode→decode identity,
 explicit clean failures for every way a byte stream can be broken, and
-the QueryOptions deprecation shim that keeps the old keyword API
-working while the dataclass becomes the one request vocabulary.
+QueryOptions as the one way to pass a request's options (the old
+``top=``/``min_score=``/``retrieve=`` keywords are gone).
 """
 
 import warnings
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.align.smith_waterman import LocalHit
+from repro.io.generate import random_dna
 from repro.scan import ScanHit, ScanReport
 from repro.service import (
     BadRequest,
@@ -25,7 +26,6 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service.engine import RequestMetrics, SearchResponse
-from repro.service.server import QueryRequest
 
 
 # ----------------------------------------------------------------------
@@ -356,26 +356,17 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-# Line-protocol option grammar (shared with handle_line)
+# QueryOptions: the only way to pass request options
 # ----------------------------------------------------------------------
-class TestOptionTokens:
-    def test_parses_known_keys(self):
-        assert protocol.parse_option_tokens(["top=5", "min-score=2", "retrieve=1"]) == {
-            "top": 5, "min_score": 2, "retrieve": 1,
-        }
+@pytest.fixture(scope="module")
+def engine():
+    from repro.io.fasta import FastaRecord
+    from repro.service import DatabaseIndex, ResultCache, SearchEngine
 
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed option"):
-            protocol.parse_option_tokens(["top"])
-        with pytest.raises(ValueError, match="unknown option"):
-            protocol.parse_option_tokens(["fanout=2"])
-        with pytest.raises(ValueError, match="needs an integer"):
-            protocol.parse_option_tokens(["top=five"])
+    records = [FastaRecord(f"r{i}", random_dna(120, seed=i)) for i in range(4)]
+    return SearchEngine(DatabaseIndex.build(records, shard_bp=300), cache=ResultCache(0))
 
 
-# ----------------------------------------------------------------------
-# QueryOptions and the deprecation shim
-# ----------------------------------------------------------------------
 class TestQueryOptionsShim:
     def test_validate_ranges(self):
         QueryOptions().validate()
@@ -384,42 +375,37 @@ class TestQueryOptionsShim:
         with pytest.raises(ValueError, match="retrieve cannot be negative"):
             QueryOptions(retrieve=-1).validate()
 
-    def test_legacy_keywords_warn_and_match(self):
-        with pytest.warns(DeprecationWarning):
-            request = QueryRequest("ACGT", top=3, min_score=2)
-        assert request.options == QueryOptions(top=3, min_score=2)
-        assert (request.top, request.min_score, request.retrieve) == (3, 2, 0)
+    def test_legacy_keywords_warn_and_match(self, engine):
+        """The removed keyword shim is a TypeError, never a silent default."""
+        query = random_dna(30, seed=99)
+        with pytest.raises(TypeError, match="top"):
+            engine.search(query, top=3, min_score=2)
+        with pytest.raises(TypeError, match="retrieve"):
+            engine.search_batch([query], retrieve=1)
 
-    def test_new_style_does_not_warn(self):
+    def test_new_style_does_not_warn(self, engine):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            request = QueryRequest("ACGT", QueryOptions(top=3))
-        assert request.options.top == 3
+            response = engine.search(random_dna(30, seed=99), QueryOptions(top=3))
+        assert len(response.report.hits) <= 3
 
-    def test_mixing_styles_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            QueryRequest("ACGT", QueryOptions(top=3), top=4)
+    def test_mixing_styles_is_an_error(self, engine):
+        with pytest.raises(TypeError):
+            engine.search("ACGT", QueryOptions(top=3), top=4)
 
-    def test_construction_never_validates(self):
+    def test_construction_never_validates(self, engine):
         # A bad request must reach the engine and come back structured.
-        assert QueryRequest("ACGT", QueryOptions(top=0)).options.top == 0
+        options = QueryOptions(top=0)
+        assert options.top == 0
+        with pytest.raises(ValueError, match="top must be positive"):
+            engine.search("ACGT", options)
 
-    def test_engine_legacy_keywords_equal_options_path(self, tmp_path):
-        from repro.io.fasta import FastaRecord
-        from repro.io.generate import random_dna
-        from repro.service import DatabaseIndex, ResultCache, SearchEngine
-
-        records = [FastaRecord(f"r{i}", random_dna(120, seed=i)) for i in range(4)]
-        engine = SearchEngine(
-            DatabaseIndex.build(records, shard_bp=300), cache=ResultCache(0)
-        )
+    def test_engine_legacy_keywords_equal_options_path(self, engine):
+        """A bare int in the options slot (the old positional ``top``) and
+        the old ``statistics=`` keyword are rejected; QueryOptions answers."""
         query = random_dna(30, seed=99)
-        new = engine.search(query, QueryOptions(top=3, min_score=2))
-        with pytest.warns(DeprecationWarning):
-            old = engine.search(query, top=3, min_score=2)
-        with pytest.warns(DeprecationWarning):
-            positional = engine.search(query, 3, min_score=2)
-        ranking = lambda r: [
-            (h.record, h.length, h.hit.as_tuple()) for h in r.report.hits
-        ]
-        assert ranking(old) == ranking(new) == ranking(positional)
+        with pytest.raises(TypeError, match="options must be QueryOptions"):
+            engine.search(query, 3)
+        with pytest.raises(TypeError, match="statistics"):
+            engine.search(query, statistics=None)
+        assert engine.search(query, QueryOptions(top=3, min_score=2)).report.hits

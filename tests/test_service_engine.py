@@ -1,8 +1,6 @@
 """Tests for the search-service pool, cache, engine and server."""
 
-import io
-import queue
-import threading
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +10,19 @@ from repro.io.fasta import FastaRecord
 from repro.io.generate import mutate, random_dna
 from repro.scan import scan_database
 from repro.service import (
+    BadRequest,
     DatabaseIndex,
-    QueryRequest,
+    QueryOptions,
     ResultCache,
+    SearchClient,
     SearchEngine,
-    SearchServer,
     WorkerSpec,
 )
+from repro.service import protocol
 from repro.service.cache import CacheKey, scheme_token
+from repro.service.net import ServerThread
+
+from conftest import ServeProcess, recv_frame
 
 
 def make_database(n=10, length=300, seed=300, query=None):
@@ -87,7 +90,7 @@ class TestPoolEquivalence:
         )
         index = DatabaseIndex.build(records, shard_bp=64)
         engine = SearchEngine(index, workers=workers, cache=ResultCache(0))
-        response = engine.search(query, top=top, min_score=min_score)
+        response = engine.search(query, QueryOptions(top=top, min_score=min_score))
         assert ranking(response.report.hits) == ranking(base.hits)
 
     def test_tie_break_is_database_order(self):
@@ -103,7 +106,7 @@ class TestEngineSemantics:
     def test_min_score_and_top(self, planted):
         query, records, index = planted
         engine = SearchEngine(index, cache=ResultCache(0))
-        response = engine.search(query, top=3, min_score=40)
+        response = engine.search(query, QueryOptions(top=3, min_score=40))
         assert len(response.report.hits) <= 3
         assert all(h.score >= 40 for h in response.report.hits)
         assert response.report.min_score == 40
@@ -112,7 +115,7 @@ class TestEngineSemantics:
         query, records, index = planted
         base = scan_database(query, records, retrieve=2, top=5)
         engine = SearchEngine(index, cache=ResultCache(0))
-        response = engine.search(query, retrieve=2, top=5)
+        response = engine.search(query, QueryOptions(retrieve=2, top=5))
         flags = [h.alignment is not None for h in response.report.hits]
         assert flags[:2] == [True, True] and not any(flags[2:])
         assert (
@@ -136,17 +139,17 @@ class TestEngineSemantics:
         _, _, index = planted
         engine = SearchEngine(index)
         with pytest.raises(ValueError):
-            engine.search("AC", top=0)
+            engine.search("AC", QueryOptions(top=0))
         with pytest.raises(ValueError):
-            engine.search("AC", retrieve=-1)
+            engine.search("AC", QueryOptions(retrieve=-1))
 
     def test_batch_single_pass_matches_individual(self, planted):
         query, records, index = planted
         other = random_dna(50, seed=77)
         engine = SearchEngine(index, workers=2, cache=ResultCache(0))
-        batch = engine.search_batch([query, other], top=5)
+        batch = engine.search_batch([query, other], QueryOptions(top=5))
         solo = [
-            SearchEngine(index, cache=ResultCache(0)).search(q, top=5)
+            SearchEngine(index, cache=ResultCache(0)).search(q, QueryOptions(top=5))
             for q in (query, other)
         ]
         for b, s in zip(batch, solo):
@@ -250,17 +253,18 @@ class TestCacheSemantics:
     def test_knob_changes_miss(self, planted):
         query, _, index = planted
         engine = SearchEngine(index)
-        engine.search(query, top=5)
-        assert engine.search(query, top=6).metrics.cache_hit is False
-        assert engine.search(query, top=5, min_score=2).metrics.cache_hit is False
-        assert engine.search(query, top=5).metrics.cache_hit is True
+        engine.search(query, QueryOptions(top=5))
+        assert engine.search(query, QueryOptions(top=6)).metrics.cache_hit is False
+        changed = engine.search(query, QueryOptions(top=5, min_score=2))
+        assert changed.metrics.cache_hit is False
+        assert engine.search(query, QueryOptions(top=5)).metrics.cache_hit is True
 
     def test_retrieve_does_not_key_cache(self, planted):
         """Retrieval is downstream of the sweep: hit even if it changes."""
         query, _, index = planted
         engine = SearchEngine(index)
-        engine.search(query, retrieve=0)
-        response = engine.search(query, retrieve=1)
+        engine.search(query, QueryOptions(retrieve=0))
+        response = engine.search(query, QueryOptions(retrieve=1))
         assert response.metrics.cache_hit
         assert response.report.hits[0].alignment is not None
 
@@ -291,164 +295,62 @@ class TestCacheSemantics:
 
 
 class TestServer:
-    def test_line_protocol(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        out = io.StringIO()
-        served = server.serve(
-            io.StringIO(f"scan {query} top=3\nstats\nquit\nscan {query}\n"), out
-        )
-        text = out.getvalue()
-        assert served == 1
-        assert "hit3" in text
-        assert "cache hit rate" in text
-        # Nothing after quit was processed.
-        assert text.count("rank") == 1
+    """Request handling over the TCP front-end (``repro serve --tcp``)."""
 
     def test_options_and_errors(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        assert "no hits >= min_score 9999" in server.handle_line(
-            f"scan {query} min_score=9999"
-        )
-        assert server.handle_line("scan").startswith("error bad-request")
-        assert server.handle_line("frobnicate").startswith("error bad-request")
-        assert server.handle_line("scan ACGT top=oops").startswith("error bad-request")
-        assert server.handle_line("scan ACGT bogus=1").startswith("error bad-request")
-        assert server.handle_line("") == ""
-        assert server.handle_line("# comment") == ""
-        assert "request metrics" in server.handle_line(f"scan {query} metrics=1")
+        with ServerThread(SearchEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                response = client.search(query, QueryOptions(min_score=9999))
+                assert "no hits >= min_score 9999" in response.render()
+                with pytest.raises(BadRequest, match="top must be positive"):
+                    client.search(query, QueryOptions(top=0))
+                with pytest.raises(BadRequest, match="retrieve cannot be negative"):
+                    client.search(query, QueryOptions(retrieve=-1))
+                assert "request metrics" in client.search(query).render(
+                    with_metrics=True
+                )
 
     def test_error_responses_are_one_line(self, planted):
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        for line in ("scan", "scan ACGT top=oops", "nonsense", "scan ACGT top=0"):
-            response = server.handle_line(line)
-            assert response.startswith("error ")
-            assert "\n" not in response
+        with ServerThread(SearchEngine(index)) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                frames = [
+                    _request(1, "search", query="ACGT", options={"top": "oops"}),
+                    _request(2, "search", query="ACGT", options={"top": 0}),
+                    _request(3, "search", options={}),
+                ]
+                for frame in frames:
+                    sock.sendall(protocol.encode_frame(frame))
+                    reply = recv_frame(sock)
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "bad-request"
+                    assert "\n" not in reply["message"]
 
     def test_malformed_request_does_not_tear_down_serve(self, planted):
-        """A bad line answers with an error line; the loop keeps going."""
+        """A bad request answers with an error frame; the connection keeps going."""
         query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        out = io.StringIO()
-        served = server.serve(
-            io.StringIO(
-                f"scan {query} top=notanint\nbogus verb\nscan {query} top=2\nquit\n"
-            ),
-            out,
-        )
-        text = out.getvalue()
-        assert served == 1
-        assert text.count("error bad-request") == 2
-        assert "hit3" in text
+        with ServerThread(SearchEngine(index)) as handle:
+            with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+                sock.sendall(protocol.encode_frame(
+                    _request(1, "search", query=query, options={"top": "notanint"})
+                ))
+                assert recv_frame(sock)["code"] == "bad-request"
+                sock.sendall(protocol.encode_frame(
+                    _request(2, "search", query=query, options={"bogus": 1})
+                ))
+                assert recv_frame(sock)["code"] == "bad-request"
+                sock.sendall(protocol.encode_frame(
+                    _request(3, "search", query=query, options={"top": 2})
+                ))
+                reply = protocol.parse_response(recv_frame(sock))
+        assert reply.report.best().record == "hit3"
+        assert handle.server.served == 1  # counted once the server drained
 
-    def test_queue_front_end(self, planted):
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        worker = threading.Thread(
-            target=server.serve_queue, args=(requests, responses)
-        )
-        worker.start()
-        requests.put(QueryRequest(query, top=4))
-        requests.put(QueryRequest(query, top=4))
-        requests.put(None)
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        first = responses.get(timeout=5)
-        second = responses.get(timeout=5)
-        assert first.report.best().record == "hit3"
-        assert second.metrics.cache_hit
-        assert server.served == 2
 
-    def test_queue_sentinel_stops_before_later_requests(self, planted):
-        """Requests enqueued after the ``None`` sentinel are not served."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=2))
-        requests.put(None)
-        requests.put(QueryRequest(query, top=3))
-        served = server.serve_queue(requests, responses)
-        assert served == 1
-        assert responses.qsize() == 1
-        # The post-sentinel request is still on the queue, unconsumed.
-        assert requests.qsize() == 1
-
-    def test_queue_responses_drain_after_shutdown(self, planted):
-        """The sentinel stops intake; emitted responses stay drainable."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        for top in (2, 3, 4):
-            requests.put(QueryRequest(query, top=top))
-        requests.put(None)
-        server.serve_queue(requests, responses)
-        requests.join()  # every request (and the sentinel) acknowledged
-        drained = [responses.get_nowait() for _ in range(3)]
-        assert all(len(r.report.hits) <= t for r, t in zip(drained, (2, 3, 4)))
-        assert [r.report.best().record for r in drained] == ["hit3"] * 3
-        with pytest.raises(queue.Empty):
-            responses.get_nowait()
-
-    def test_queue_concurrent_submitters_and_shutdown_ordering(self, planted):
-        """Many producer threads race the loop; shutdown still honors
-        every request enqueued before the sentinel, exactly once."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        consumer = threading.Thread(
-            target=server.serve_queue, args=(requests, responses)
-        )
-        consumer.start()
-        n_producers, per_producer = 4, 3
-        barrier = threading.Barrier(n_producers)
-
-        def produce(seed):
-            barrier.wait()
-            for i in range(per_producer):
-                requests.put(QueryRequest(query, top=2 + (seed + i) % 3))
-
-        producers = [
-            threading.Thread(target=produce, args=(p,)) for p in range(n_producers)
-        ]
-        for t in producers:
-            t.start()
-        for t in producers:
-            t.join(timeout=30)
-        requests.put(None)  # sentinel arrives after every producer finished
-        consumer.join(timeout=60)
-        assert not consumer.is_alive()
-        total = n_producers * per_producer
-        assert server.served == total
-        drained = [responses.get(timeout=5) for _ in range(total)]
-        assert all(r.report.best().record == "hit3" for r in drained)
-        with pytest.raises(queue.Empty):
-            responses.get_nowait()
-        # Intake is closed: a straggler enqueued after shutdown stays put.
-        requests.put(QueryRequest(query))
-        assert requests.qsize() == 1 and server.served == total
-
-    def test_queue_front_end_survives_bad_request(self, planted):
-        """A failing request yields its exception in-order; loop lives on."""
-        query, _, index = planted
-        server = SearchServer(SearchEngine(index))
-        requests: queue.Queue = queue.Queue()
-        responses: queue.Queue = queue.Queue()
-        requests.put(QueryRequest(query, top=0))  # rejected by the engine
-        requests.put(QueryRequest(query, top=2))
-        requests.put(None)
-        served = server.serve_queue(requests, responses)
-        assert served == 1
-        failure = responses.get_nowait()
-        assert isinstance(failure, ValueError)
-        ok = responses.get_nowait()
-        assert ok.report.best().record == "hit3"
+def _request(request_id, verb, **fields):
+    return {"v": protocol.PROTOCOL_VERSION, "type": "request", "id": request_id,
+            "verb": verb, **fields}
 
 
 class TestCLIService:
@@ -500,17 +402,23 @@ class TestCLIService:
         assert "hit3" in out
         assert "request metrics" in out
 
-    def test_serve_command(self, tmp_path, capsys, monkeypatch, planted):
+    def test_serve_command(self, tmp_path, capsys, planted):
         from repro.cli import main
         from repro.io.fasta import write_fasta
 
         query, records, _ = planted
-        db = tmp_path / "db.fasta"
-        write_fasta(records, db)
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nquit\n")
-        )
-        assert main(["serve", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "hit3" in out
+        write_fasta(records, tmp_path / "db.fasta")
+        with ServeProcess("db.fasta", cwd=tmp_path) as server:
+            assert main(["query", server.address, query, "--top", "2"]) == 0
+            code, out, _ = server.stop()
+        assert "hit3" in capsys.readouterr().out
+        assert code == 0
         assert "served 1 requests" in out
+
+    def test_serve_requires_tcp(self, tmp_path, capsys, planted):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(tmp_path / "db.fasta")])
+        assert excinfo.value.code != 0
+        assert "--tcp" in capsys.readouterr().err

@@ -5,12 +5,11 @@ and the final ranking is bit-identical to ``scan_database``; an
 unrecoverable shard yields a response with ``coverage < 1.0`` and the
 shard listed in ``degraded_shards``; a hung sweep is timed out and the
 engine completes via fallback — all with zero uncaught exceptions
-reaching ``SearchServer.serve``.
+reaching the TCP server.
 """
 
 import dataclasses
 import gc
-import io
 import math
 import multiprocessing
 import os
@@ -22,7 +21,7 @@ import time
 import pytest
 
 from repro.align.scoring import DEFAULT_DNA
-from repro.io.fasta import FastaRecord
+from repro.io.fasta import FastaRecord, write_fasta
 from repro.io.generate import mutate, random_dna
 from repro.kernels import _FACTORIES, _INSTANCES, KernelBackend, get_backend, register_backend
 from repro.scan import scan_database
@@ -36,7 +35,6 @@ from repro.service import (
     ResultCache,
     RetryPolicy,
     SearchEngine,
-    SearchServer,
     ServiceError,
     ShardFailure,
     ShardWorkerPool,
@@ -49,6 +47,8 @@ from repro.service import (
 from repro.service.client import SearchClient
 from repro.service.net import ServerThread
 from repro.service.pool import _sweep_shard, shard_task
+
+from conftest import ServeProcess
 
 #: Fast backoff for tests — real delays, deterministic, but tiny.
 FAST = RetryPolicy(retries=2, base_delay=0.005, max_delay=0.02, jitter=0.5, seed=7)
@@ -401,9 +401,12 @@ class TestEngineFaultTolerance:
 
 
 class TestServerFaultTolerance:
+    """Failures reach a TCP client as taxonomy error frames; the server
+    keeps serving."""
+
     def test_no_uncaught_exceptions_reach_serve(self, planted):
-        """Crashing shards, malformed requests, service errors: the loop
-        answers every line and exits only on quit."""
+        """Crashing shards, malformed requests, service errors: the server
+        answers every request and stays up."""
         query, _, index, _ = planted
         pool = SupervisedWorkerPool(
             workers=2,
@@ -411,77 +414,65 @@ class TestServerFaultTolerance:
             fault_plan=FaultPlan.crash_on(1, times=None),
         )
         engine = SearchEngine(index, pool=pool, fallback_scan=False)
-        server = SearchServer(engine)
-        out = io.StringIO()
-        script = (
-            f"scan {query} top=3\n"      # degraded but served
-            "scan\n"                      # bad request
-            "scan ACGT top=zero\n"        # bad request
-            "stats\n"
-            f"scan {query} top=2\n"
-            "quit\n"
-        )
-        served = server.serve(io.StringIO(script), out)
-        text = out.getvalue()
-        assert served == 2
-        assert text.count("degraded coverage=") == 2
-        assert text.count("error bad-request") == 2
-        assert "unhealthy" not in text  # three of four shards still sweep
+        with ServerThread(engine) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                first = client.search(query, QueryOptions(top=3))  # degraded but served
+                with pytest.raises(ValueError):
+                    client.search(query, QueryOptions(top=0))
+                with pytest.raises(ValueError):
+                    client.search(query, QueryOptions(retrieve=-1))
+                stats = client.stats()
+                second = client.search(query, QueryOptions(top=2))
+        assert first.coverage < 1.0 and second.coverage < 1.0
+        assert first.degraded_shards == second.degraded_shards == (1,)
+        assert stats["pool"] != "unhealthy"  # three of four shards still sweep
+        assert handle.server.served == 2
 
     def test_service_error_renders_taxonomy_code(self, planted):
         query, _, index, _ = planted
 
         class FailingEngine(SearchEngine):
-            def search(self, *args, **kwargs):
+            def search_batch(self, *args, **kwargs):
                 raise WorkerTimeout(3, 1.5)
 
-        server = SearchServer(FailingEngine(index))
-        response = server.handle_line(f"scan {query}")
-        assert response == "error worker-timeout shard 3: sweep exceeded 1.5s timeout"
+        with ServerThread(FailingEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.search(query)
+        assert excinfo.value.code == "worker-timeout"
+        assert str(excinfo.value) == "shard 3: sweep exceeded 1.5s timeout"
 
     def test_internal_errors_are_contained(self, planted):
         query, _, index, _ = planted
 
         class ExplodingEngine(SearchEngine):
-            def search(self, *args, **kwargs):
+            def search_batch(self, *args, **kwargs):
                 raise RuntimeError("kernel\npanic")
 
-        server = SearchServer(ExplodingEngine(index))
-        out = io.StringIO()
-        server.serve(io.StringIO(f"scan {query}\nquit\n"), out)
-        assert "error internal RuntimeError: kernel panic" in out.getvalue()
+        with ServerThread(ExplodingEngine(index)) as handle:
+            with SearchClient(handle.host, handle.port) as client:
+                for _ in range(2):  # the connection survives the failure
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.search(query)
+                    assert excinfo.value.code == "internal"
+                    assert str(excinfo.value) == "RuntimeError: kernel panic"
 
 
 class TestCLIResilience:
-    def test_serve_retries_and_timeout_flags(self, tmp_path, capsys, monkeypatch, planted):
-        from repro.cli import main
-        from repro.io.fasta import write_fasta
-
+    def test_serve_retries_and_timeout_flags(self, tmp_path, planted):
         query, records, _, _ = planted
-        db = tmp_path / "db.fasta"
-        write_fasta(records, db)
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"scan {query} top=2\nstats\nquit\n")
-        )
-        assert (
-            main(
-                [
-                    "serve",
-                    str(db),
-                    "--workers",
-                    "2",
-                    "--retries",
-                    "1",
-                    "--timeout",
-                    "30",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rec5" in out
-        assert "pool: healthy" in out
-        assert "served 1 requests" in out
+        write_fasta(records, tmp_path / "db.fasta")
+        with ServeProcess(
+            "db.fasta", "--workers", "2", "--retries", "1", "--timeout", "30",
+            cwd=tmp_path,
+        ) as server:
+            with SearchClient(server.address) as client:
+                response = client.search(query, QueryOptions(top=2))
+                stats = client.stats()
+            code, out, _ = server.stop()
+        assert response.report.best().record == "rec5"
+        assert stats["pool"] == "healthy"
+        assert code == 0 and "served 1 requests" in out
 
 
 # ----------------------------------------------------------------------
